@@ -178,11 +178,7 @@ void BatchExecutor::PrepareMember(const LogicalTable& table,
       return;
     }
     m->limit = q.limit.value_or(std::numeric_limits<size_t>::max());
-    m->needed = q.select_columns;
-    for (const PredicateTerm* term : m->terms) {
-      m->needed.push_back(term->column.column);
-    }
-    m->needed = rp::UniqueColumns(std::move(m->needed));
+    m->needed = rp::NeededColumns(q, m->terms);
   } else {
     const AggregationQuery& q = *m->agg;
     if (q.aggregates.empty()) {
@@ -218,14 +214,7 @@ void BatchExecutor::PrepareMember(const LogicalTable& table,
       return;
     }
     m->grouped = !q.group_by.empty();
-    for (const AggregateExpr& agg : q.aggregates) {
-      if (agg.fn != AggFn::kCount) m->needed.push_back(agg.column.column);
-    }
-    for (const ColumnRef& ref : q.group_by) m->needed.push_back(ref.column);
-    for (const PredicateTerm* term : m->terms) {
-      m->needed.push_back(term->column.column);
-    }
-    m->needed = rp::UniqueColumns(std::move(m->needed));
+    m->needed = rp::NeededColumns(q, m->terms);
   }
 
   const auto& groups = table.groups();

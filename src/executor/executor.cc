@@ -58,7 +58,7 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectQuery& q) {
   // Point fast path: single equality on a single-column primary key.
   if (schema.primary_key().size() == 1 &&
       IsPointPredicateOn(q.predicate, schema.primary_key()[0])) {
-    telemetry::ScopedSpan scan_span("scan");
+    telemetry::ScopedSpan lookup_span("pk_lookup");
     Result<Row> row =
         table->GetByPk(PrimaryKey::Of(*q.predicate[0].range.lo));
     if (row.ok() && limit > 0) {
@@ -67,11 +67,7 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectQuery& q) {
     return result;
   }
 
-  std::vector<ColumnId> needed = q.select_columns;
-  for (const PredicateTerm* term : terms) {
-    needed.push_back(term->column.column);
-  }
-  needed = rp::UniqueColumns(std::move(needed));
+  const std::vector<ColumnId> needed = rp::NeededColumns(q, terms);
 
   telemetry::ScopedSpan scan_span("scan");
   for (size_t g = 0; g < table->groups().size(); ++g) {
@@ -259,15 +255,7 @@ Result<QueryResult> Executor::SingleTableAggregation(
   std::vector<AggState> totals(q.aggregates.size());
   GroupMap group_map;
 
-  std::vector<ColumnId> needed;
-  for (const AggregateExpr& agg : q.aggregates) {
-    if (agg.fn != AggFn::kCount) needed.push_back(agg.column.column);
-  }
-  for (const ColumnRef& ref : q.group_by) needed.push_back(ref.column);
-  for (const PredicateTerm* term : terms) {
-    needed.push_back(term->column.column);
-  }
-  needed = rp::UniqueColumns(std::move(needed));
+  const std::vector<ColumnId> needed = rp::NeededColumns(q, terms);
 
   telemetry::ScopedSpan scan_span("scan");
   for (size_t g = 0; g < table->groups().size(); ++g) {

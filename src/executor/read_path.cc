@@ -75,6 +75,16 @@ bool UseParallelScan(const ParallelContext& ctx, const Fragment& frag,
   return true;
 }
 
+bool ScansInParallel(const ParallelContext& ctx, const LogicalTable& table,
+                     const std::vector<ColumnId>& needed,
+                     const std::vector<const PredicateTerm*>& terms) {
+  for (const RowGroup& group : table.groups()) {
+    const Fragment* cover = CoveringFragment(group, needed);
+    if (cover != nullptr && UseParallelScan(ctx, *cover, terms)) return true;
+  }
+  return false;
+}
+
 void NoteMorsels(const ParallelContext& ctx, size_t morsels) {
   if (ctx.morsels_total != nullptr) ctx.morsels_total->Increment(morsels);
   if (ctx.queue_depth != nullptr) {
@@ -378,6 +388,28 @@ std::vector<ColumnId> UniqueColumns(std::vector<ColumnId> cols) {
   std::sort(cols.begin(), cols.end());
   cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
   return cols;
+}
+
+std::vector<ColumnId> NeededColumns(
+    const SelectQuery& q, const std::vector<const PredicateTerm*>& terms) {
+  std::vector<ColumnId> needed = q.select_columns;
+  for (const PredicateTerm* term : terms) {
+    needed.push_back(term->column.column);
+  }
+  return UniqueColumns(std::move(needed));
+}
+
+std::vector<ColumnId> NeededColumns(
+    const AggregationQuery& q, const std::vector<const PredicateTerm*>& terms) {
+  std::vector<ColumnId> needed;
+  for (const AggregateExpr& agg : q.aggregates) {
+    if (agg.fn != AggFn::kCount) needed.push_back(agg.column.column);
+  }
+  for (const ColumnRef& ref : q.group_by) needed.push_back(ref.column);
+  for (const PredicateTerm* term : terms) {
+    needed.push_back(term->column.column);
+  }
+  return UniqueColumns(std::move(needed));
 }
 
 }  // namespace readpath

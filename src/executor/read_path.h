@@ -60,6 +60,13 @@ Bitmap EvaluateOnFragment(const Fragment& frag,
 bool UseParallelScan(const ParallelContext& ctx, const Fragment& frag,
                      const std::vector<const PredicateTerm*>& terms);
 
+/// Whether some row group of `table` scans its covering fragment of
+/// `needed` morsel-parallel — UseParallelScan applied to exactly the
+/// fragments the executors scan, so `explain` reports the path that runs.
+bool ScansInParallel(const ParallelContext& ctx, const LogicalTable& table,
+                     const std::vector<ColumnId>& needed,
+                     const std::vector<const PredicateTerm*>& terms);
+
 /// Telemetry for one parallel dispatch: total morsels produced and the
 /// worker-queue depth at dispatch time (pending tasks already queued plus
 /// this scan's morsels).
@@ -131,6 +138,15 @@ Result<std::vector<PrimaryKey>> MatchingPksInGroup(
 
 /// Sorted, deduplicated column list.
 std::vector<ColumnId> UniqueColumns(std::vector<ColumnId> cols);
+
+/// Columns a single-table scan must find in one fragment to take the cover
+/// path, sorted and deduplicated: a select's projection plus its predicate
+/// columns; an aggregation's inputs (count reads none), group keys and
+/// predicate columns. `terms` are the query's terms on table 0.
+std::vector<ColumnId> NeededColumns(
+    const SelectQuery& q, const std::vector<const PredicateTerm*>& terms);
+std::vector<ColumnId> NeededColumns(
+    const AggregationQuery& q, const std::vector<const PredicateTerm*>& terms);
 
 }  // namespace readpath
 }  // namespace hsdb

@@ -46,7 +46,7 @@ class AdmissionQueue {
   HSDB_DISALLOW_COPY_AND_ASSIGN(AdmissionQueue);
 
   /// Admits one query; false when the queue is full or closed (the caller
-  /// answers "err busy" / "err shutting down" itself).
+  /// answers with an "err" reply itself).
   bool TryPush(Admitted item) {
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -1,11 +1,12 @@
 #include "server/explain.h"
 
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
 #include "catalog/catalog.h"
 #include "executor/batch_executor.h"
+#include "executor/read_path.h"
+#include "server/protocol.h"
 #include "storage/compression/encoding.h"
 
 namespace hsdb {
@@ -13,21 +14,11 @@ namespace server {
 
 namespace {
 
+namespace rp = readpath;
+
 std::string FormatMs(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
-/// Matches the wire protocol's aggregate rendering (protocol.cc): integral
-/// results print without a fraction, so `explain analyze count t` shows the
-/// exact value `count t` returns.
-std::string FormatAggregate(double v) {
-  if (v == static_cast<double>(static_cast<int64_t>(v))) {
-    return std::to_string(static_cast<int64_t>(v));
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
 
@@ -68,35 +59,45 @@ void AppendTableLines(const Catalog& catalog, const std::string& name,
   }
 }
 
-/// One-line characterization of the execution path the serial executor
-/// would choose — the analogue of a plan node list for this engine's
-/// fixed pipeline.
+/// One-line characterization of the execution path — the analogue of a
+/// plan node list for this engine's fixed pipeline. A scan reads
+/// "morsel-parallel" exactly when the executors parallelize it:
+/// rp::ScansInParallel applies their UseParallelScan decision to the same
+/// covering fragments.
 std::string PathLine(Database* db, const Catalog& catalog,
                      const Query& query) {
+  // Scan mode of a single-table select or aggregation on `table` (nullptr
+  // for a star join, which always scans serially).
+  auto scan_mode = [db](const LogicalTable* table, const auto& q) {
+    ParallelContext parallel;
+    parallel.pool = db->scan_pool();
+    const auto terms = rp::TermsForTable(q.predicate, 0);
+    if (table == nullptr ||
+        !rp::ScansInParallel(parallel, *table, rp::NeededColumns(q, terms),
+                             terms)) {
+      return std::string(", serial");
+    }
+    return ", morsel-parallel over " + std::to_string(db->num_threads()) +
+           " threads";
+  };
   const QueryKind kind = KindOf(query);
   if (kind == QueryKind::kSelect) {
     const auto& q = std::get<SelectQuery>(query);
-    if (const LogicalTable* table = catalog.GetTable(q.table)) {
-      const auto& pk = table->schema().primary_key();
-      if (pk.size() == 1 && IsPointPredicateOn(q.predicate, pk[0])) {
-        return "path: point-PK lookup (sub-linear fast path)";
-      }
+    const LogicalTable* table = catalog.GetTable(q.table);
+    if (table != nullptr && table->schema().primary_key().size() == 1 &&
+        IsPointPredicateOn(q.predicate, table->schema().primary_key()[0])) {
+      return "path: point-PK lookup (sub-linear fast path)";
     }
-    return db->num_threads() > 1
-               ? "path: filtered scan, morsel-parallel over " +
-                     std::to_string(db->num_threads()) + " threads"
-               : "path: filtered scan, serial";
+    return "path: filtered scan" + scan_mode(table, q);
   }
   if (kind == QueryKind::kAggregation) {
     const auto& q = std::get<AggregationQuery>(query);
     std::string path = q.group_by.empty() ? "path: scan + aggregate"
                                           : "path: scan + grouped aggregate";
     if (!q.joins.empty()) path += " (joined)";
-    if (db->num_threads() > 1) {
-      path += ", morsel-parallel over " + std::to_string(db->num_threads()) +
-              " threads";
-    }
-    return path;
+    return path + scan_mode(q.tables.size() == 1 ? catalog.GetTable(q.tables[0])
+                                                 : nullptr,
+                            q);
   }
   return "path: per-statement DML (writer latch + exclusive lock)";
 }
@@ -162,7 +163,9 @@ Result<std::vector<std::string>> ExplainAnalyzeLines(Database* db,
             "result: " + std::to_string(result.aggregates.size()) +
             " aggregate(s):";
         for (double v : result.aggregates) {
-          line += " " + FormatAggregate(v);
+          // The wire rendering: `explain analyze count t` shows exactly
+          // the value `count t` returns.
+          line += " " + FormatDouble(v);
         }
         out.push_back(line);
       } else {

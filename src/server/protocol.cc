@@ -336,17 +336,6 @@ Result<Request> ParseDelete(const std::vector<std::string>& tokens,
   return req;
 }
 
-/// Round-trip-exact rendering for aggregate doubles; integral results print
-/// without a fraction so goldens read naturally.
-std::string FormatDouble(double v) {
-  if (v == static_cast<double>(static_cast<int64_t>(v))) {
-    return std::to_string(static_cast<int64_t>(v));
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 void AppendRow(const Row& row, std::string* out) {
   for (size_t i = 0; i < row.size(); ++i) {
     if (i > 0) out->push_back('\t');
@@ -389,6 +378,15 @@ Result<Request> ParseExplain(std::vector<std::string> tokens,
 }
 
 }  // namespace
+
+std::string FormatDouble(double v) {
+  if (v == static_cast<double>(static_cast<int64_t>(v))) {
+    return std::to_string(static_cast<int64_t>(v));
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
 
 Result<Request> ParseRequest(const std::string& line,
                              const SchemaResolver& resolver) {

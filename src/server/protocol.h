@@ -87,6 +87,10 @@ Result<Request> ParseRequest(const std::string& line,
 /// one affected-row count line).
 std::string FormatResponse(const QueryResult& result, QueryKind kind);
 
+/// Round-trip-exact rendering for aggregate doubles; integral results print
+/// without a fraction so goldens read naturally.
+std::string FormatDouble(double v);
+
 /// Serializes pre-built payload lines (tables/schema/stats replies).
 std::string FormatLines(const std::vector<std::string>& lines);
 

@@ -230,9 +230,10 @@ void ColumnTable::FilterRangeSlice(ColumnId col, const ValueRange& range,
   HSDB_DCHECK(begin % 64 == 0 && begin <= end && end <= live_.size());
   // The slice may straddle the main/delta boundary (main_size_ is not
   // morsel-aligned): the encoded-segment part covers [begin, main_end), the
-  // raw delta part [delta_begin, end).
+  // raw delta part [delta_begin, end) — empty (delta_begin == end) for a
+  // slice wholly inside the main.
   const size_t main_end = std::min(end, main_size_);
-  const size_t delta_begin = std::max(begin, main_size_);
+  const size_t delta_begin = std::clamp(main_size_, begin, end);
   const DataType type = schema_.column(col).type;
   if (type == DataType::kVarchar) {
     const auto& data = std::get<ColumnData<std::string>>(columns_[col]);
@@ -279,7 +280,7 @@ void ColumnTable::MultiFilterRangeSlice(ColumnId col,
   }
   HSDB_DCHECK(begin % 64 == 0 && begin <= end && end <= live_.size());
   const size_t main_end = std::min(end, main_size_);
-  const size_t delta_begin = std::max(begin, main_size_);
+  const size_t delta_begin = std::clamp(main_size_, begin, end);
   const DataType type = schema_.column(col).type;
   if (type == DataType::kVarchar) {
     const auto& data = std::get<ColumnData<std::string>>(columns_[col]);

@@ -21,6 +21,7 @@
 #ifndef HSDB_STORAGE_COLUMN_TABLE_H_
 #define HSDB_STORAGE_COLUMN_TABLE_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -225,7 +226,7 @@ void ColumnTable::ForEachNumericRange(ColumnId col, const Bitmap& filter,
                                    });
         }
         // Delta part: raw vector lookups.
-        const size_t delta_begin = std::max(begin, main_size_);
+        const size_t delta_begin = std::clamp(main_size_, begin, end);
         filter.ForEachSetInRange(delta_begin, end, [&](size_t rid) {
           fn(rid, internal::NumericCast(data.delta[rid - main_size_]));
         });

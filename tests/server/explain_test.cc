@@ -11,12 +11,22 @@
 #include <vector>
 
 #include "executor/database.h"
+#include "executor/read_path.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "workload/synthetic.h"
 
 namespace hsdb {
 namespace {
+
+/// One line of the reply containing `needle`, or "" when absent.
+std::string LineWith(const std::vector<std::string>& lines,
+                     const std::string& needle) {
+  for (const std::string& line : lines) {
+    if (line.find(needle) != std::string::npos) return line;
+  }
+  return std::string();
+}
 
 class ExplainWireTest : public ::testing::Test {
  protected:
@@ -43,15 +53,6 @@ class ExplainWireTest : public ::testing::Test {
   }
 
   void TearDown() override { server_->Stop(); }
-
-  /// One line of the reply containing `needle`, or "" when absent.
-  static std::string LineWith(const std::vector<std::string>& lines,
-                              const std::string& needle) {
-    for (const std::string& line : lines) {
-      if (line.find(needle) != std::string::npos) return line;
-    }
-    return std::string();
-  }
 
   SyntheticTableSpec spec_;
   std::unique_ptr<Database> db_;
@@ -169,6 +170,72 @@ TEST_F(ExplainWireTest, ExplainPredictionLineWhenPredictorInstalled) {
   ASSERT_TRUE(reply.ok());
   ASSERT_TRUE(reply->ok) << reply->error;
   EXPECT_FALSE(LineWith(reply->lines, "predicted_cost").empty());
+}
+
+/// At 4 threads the path line follows the executors' UseParallelScan
+/// decision, not the thread count: a table that fits in one morsel scans
+/// serially, one row more goes morsel-parallel — and explain analyze's
+/// morsel count agrees with the line.
+class ExplainPathTest : public ::testing::Test {
+ protected:
+  void Load(size_t rows) {
+    SyntheticTableSpec spec;
+    spec.name = "events";
+    spec.num_keyfigures = 1;
+    spec.num_filters = 1;
+    spec.num_groups = 1;
+    Database::Options options;
+    options.num_threads = 4;
+    db_ = std::make_unique<Database>(options);
+    ASSERT_TRUE(db_->CreateTable("events", spec.MakeSchema(),
+                                 TableLayout::SingleStore(StoreType::kColumn))
+                    .ok());
+    ASSERT_TRUE(
+        PopulateSynthetic(db_->catalog().GetTable("events"), spec, rows).ok());
+    server_ = std::make_unique<server::SocketServer>(db_.get());
+    ASSERT_TRUE(server_->Start().ok());
+    ASSERT_TRUE(client_.Connect("127.0.0.1", server_->port()).ok());
+  }
+
+  void TearDown() override {
+    if (server_ != nullptr) server_->Stop();
+  }
+
+  std::string LineFor(const std::string& request, const std::string& needle) {
+    Result<server::Reply> reply = client_.RoundTrip(request);
+    if (!reply.ok()) return "transport: " + reply.status().ToString();
+    if (!reply->ok) return "err: " + reply->error;
+    return LineWith(reply->lines, needle);
+  }
+
+  std::unique_ptr<Database> db_;
+  std::unique_ptr<server::SocketServer> server_;
+  server::Client client_;
+};
+
+TEST_F(ExplainPathTest, OneMorselTableScansSerially) {
+  Load(readpath::kMorselRows);
+  EXPECT_EQ(LineFor("explain select events id where f0<100", "path:"),
+            "path: filtered scan, serial");
+  EXPECT_EQ(LineFor("explain count events where f0<100", "path:"),
+            "path: scan + aggregate, serial");
+  EXPECT_EQ(LineFor("explain analyze count events where f0<100",
+                    "morsels_dispatched:"),
+            "morsels_dispatched: 0");
+}
+
+TEST_F(ExplainPathTest, MultiMorselTableScansInParallel) {
+  Load(readpath::kMorselRows + 1);
+  EXPECT_EQ(LineFor("explain select events id where f0<100", "path:"),
+            "path: filtered scan, morsel-parallel over 4 threads");
+  EXPECT_EQ(LineFor("explain count events where f0<100", "path:"),
+            "path: scan + aggregate, morsel-parallel over 4 threads");
+  EXPECT_EQ(LineFor("explain analyze count events where f0<100",
+                    "morsels_dispatched:"),
+            "morsels_dispatched: 2");
+  // The point-PK fast path never scans, whatever the table size.
+  EXPECT_EQ(LineFor("explain select events id where id=7", "path:"),
+            "path: point-PK lookup (sub-linear fast path)");
 }
 
 }  // namespace

@@ -49,8 +49,10 @@ TEST_F(TelemetryIntegrationTest, ExecuteStampsSpanTree) {
   ASSERT_NE(result->trace, nullptr);
   EXPECT_EQ(result->trace->name, "query");
   EXPECT_NE(result->trace->Find("execute"), nullptr);
-  // Executing a select walks the scan instrument site.
-  EXPECT_NE(result->trace->Find("scan"), nullptr);
+  // A point select takes the PK fast path, under its own span (not the
+  // scan span).
+  EXPECT_NE(result->trace->Find("pk_lookup"), nullptr);
+  EXPECT_EQ(result->trace->Find("scan"), nullptr);
   EXPECT_GE(result->trace->elapsed_ms, 0.0);
 }
 
