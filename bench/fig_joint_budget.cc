@@ -1,6 +1,7 @@
 // Budget sweep for the joint layout+encoding search: estimated workload
 // cost of the advisor's recommendation as a function of the shared memory
-// budget, joint mode against the staged layout-then-encoding pipeline.
+// budget, against the staged layout-then-encoding pipeline the joint
+// search prices internally (Recommendation::sequential_cost_ms).
 // Expected shape: the two curves coincide while the budget is slack; once
 // it binds, the staged pipeline can only downgrade codecs (and goes
 // infeasible below its fixed layouts' footprint floor) while the joint
@@ -132,10 +133,9 @@ void Run(const std::string& json_path) {
   // gated timings below must not vary with per-machine calibration (only
   // with the search's own speed, which the gate normalizes for).
   CostModelParams params = CostModelParams::Default();
-  auto recommend = [&](std::optional<double> budget, bool joint) {
+  auto recommend = [&](std::optional<double> budget) {
     AdvisorOptions options;
     options.encoding.memory_budget_bytes = budget;
-    options.joint_budget_search = joint;
     StorageAdvisor advisor(&db, options);
     advisor.SetCostModelParams(params);
     Result<Recommendation> rec = advisor.RecommendOffline(workload);
@@ -144,7 +144,7 @@ void Run(const std::string& json_path) {
   };
 
   // Anchor the sweep on the unconstrained joint footprint.
-  Recommendation top = recommend(std::nullopt, /*joint=*/true);
+  Recommendation top = recommend(std::nullopt);
   std::printf(
       "unconstrained: joint cost %.3f ms (sequential %.3f ms), "
       "footprint %.0f bytes\n\n",
@@ -159,18 +159,17 @@ void Run(const std::string& json_path) {
   for (int pct = 120; pct >= 0; pct -= 15) {
     const double budget =
         top.encoding_footprint_bytes * static_cast<double>(pct) / 100.0;
-    Recommendation joint = recommend(budget, /*joint=*/true);
-    Recommendation seq = recommend(budget, /*joint=*/false);
-    if (seq.encoding_budget_feasible &&
-        joint.estimated_cost_ms > seq.estimated_cost_ms * (1.0 + 1e-9)) {
+    Recommendation rec = recommend(budget);
+    if (rec.sequential_feasible &&
+        rec.estimated_cost_ms > rec.sequential_cost_ms * (1.0 + 1e-9)) {
       joint_never_worse = false;
     }
     std::printf("%7d%%  %12.0f  %12s | %12.3f %9s | %12.3f %9s | %8.3fx\n",
-                pct, budget, "", joint.estimated_cost_ms,
-                joint.encoding_budget_feasible ? "yes" : "NO",
-                seq.estimated_cost_ms,
-                seq.encoding_budget_feasible ? "yes" : "NO",
-                joint.estimated_cost_ms / seq.estimated_cost_ms);
+                pct, budget, "", rec.estimated_cost_ms,
+                rec.encoding_budget_feasible ? "yes" : "NO",
+                rec.sequential_cost_ms,
+                rec.sequential_feasible ? "yes" : "NO",
+                rec.estimated_cost_ms / rec.sequential_cost_ms);
   }
   std::printf("\njoint <= sequential at every feasible budget: %s\n",
               joint_never_worse ? "yes" : "VIOLATED");
@@ -178,16 +177,11 @@ void Run(const std::string& json_path) {
 
   if (!json_path.empty()) {
     std::vector<Timing> timings;
-    timings.push_back(
-        {"fig_joint_budget/advise_unconstrained",
-         MedianMs([&] { recommend(std::nullopt, /*joint=*/true); })});
+    timings.push_back({"fig_joint_budget/advise_unconstrained",
+                       MedianMs([&] { recommend(std::nullopt); })});
     const double binding = top.encoding_footprint_bytes * 0.6;
-    timings.push_back(
-        {"fig_joint_budget/advise_joint_binding_budget",
-         MedianMs([&] { recommend(binding, /*joint=*/true); })});
-    timings.push_back(
-        {"fig_joint_budget/advise_sequential_binding_budget",
-         MedianMs([&] { recommend(binding, /*joint=*/false); })});
+    timings.push_back({"fig_joint_budget/advise_joint_binding_budget",
+                       MedianMs([&] { recommend(binding); })});
     WriteJson(json_path, timings);
   }
 }

@@ -353,125 +353,83 @@ Result<Recommendation> StorageAdvisor::Recommend(
   }
   rec.sequential_cost_ms = rec.estimated_cost_ms;
 
-  size_t evaluated_assignments = 0;
-  size_t repair_iterations = 0;
-  bool hysteresis_applied = false;
   phase_sw.Restart();
   EncodingSearch encoding_search(model_.get(), &db_->catalog(),
                                  options_.encoding);
-  if (options_.joint_budget_search) {
-    // Joint mode: the staged pick anchors candidate 0 of every table, the
-    // plain single-store layouts and the PartitionAdvisor's heuristic
-    // splits widen the space, and the table's current layout rides along so
-    // the hysteresis rule can protect it across flips. The search then
-    // trades footprint across layout flips and codec swaps under the one
-    // shared memory budget.
-    std::map<std::string, std::vector<LayoutCandidate>> candidates;
-    for (const auto& [name, ctx] : rec.layouts) {
-      std::vector<LayoutCandidate> list;
-      auto add = [&](const LayoutContext& candidate, std::string reason) {
-        for (const LayoutCandidate& existing : list) {
-          if (existing.context.layout == candidate.layout) return;
-        }
-        list.push_back({candidate, std::move(reason)});
-      };
-      add(ctx, "sequential pick");
-      add(LayoutContext::SingleStore(StoreType::kRow),
-          "unpartitioned ROW store");
-      add(LayoutContext::SingleStore(StoreType::kColumn),
-          "unpartitioned COLUMN store");
-      auto hc = heuristic_candidates.find(name);
-      if (hc != heuristic_candidates.end()) {
-        for (const LayoutCandidate& candidate : hc->second) {
-          add(candidate.context, candidate.reason);
-        }
+  // Joint search: the staged pick anchors candidate 0 of every table, the
+  // plain single-store layouts and the PartitionAdvisor's heuristic
+  // splits widen the space, and the table's current layout rides along so
+  // the hysteresis rule can protect it across flips. The search then
+  // trades footprint across layout flips and codec swaps under the one
+  // shared memory budget.
+  std::map<std::string, std::vector<LayoutCandidate>> candidates;
+  for (const auto& [name, ctx] : rec.layouts) {
+    std::vector<LayoutCandidate> list;
+    auto add = [&](const LayoutContext& candidate, std::string reason) {
+      for (const LayoutCandidate& existing : list) {
+        if (existing.context.layout == candidate.layout) return;
       }
-      if (const LogicalTable* table = db_->catalog().GetTable(name)) {
-        add(CurrentLayoutContext(*table, db_->catalog().GetStatistics(name)),
-            "current layout");
+      list.push_back({candidate, std::move(reason)});
+    };
+    add(ctx, "sequential pick");
+    add(LayoutContext::SingleStore(StoreType::kRow),
+        "unpartitioned ROW store");
+    add(LayoutContext::SingleStore(StoreType::kColumn),
+        "unpartitioned COLUMN store");
+    auto hc = heuristic_candidates.find(name);
+    if (hc != heuristic_candidates.end()) {
+      for (const LayoutCandidate& candidate : hc->second) {
+        add(candidate.context, candidate.reason);
       }
-      candidates.emplace(name, std::move(list));
     }
-    JointSearchResult joint = encoding_search.SearchJoint(workload,
-                                                          candidates);
-    evaluated_assignments = joint.evaluated_assignments;
-    repair_iterations = joint.repair_iterations;
-    hysteresis_applied = joint.hysteresis_applied;
-    if (!joint.tables.empty()) {
-      for (const auto& [name, design] : joint.tables) {
-        rec.layouts.at(name) = design.context;
-        rec.encoding_footprint_by_table[name] = design.footprint_bytes;
-        // Report a move only when the chosen layout deviates from the
-        // staged pick AND from what the catalog already has (hysteresis
-        // keeping the current layout against a drifted staged pick is not
-        // a move — no DDL is emitted for it either).
-        const LogicalTable* table = db_->catalog().GetTable(name);
-        if (design.layout_changed && table != nullptr &&
-            !(table->layout() == design.context.layout)) {
-          std::ostringstream flip;
-          flip << name << ": joint budget search moved the layout to "
-               << design.context.layout.ToString() << " (" << design.reason
-               << ", footprint " << design.footprint_bytes << " bytes)";
-          rec.rationale.push_back(flip.str());
-        }
-      }
-      rec.estimated_cost_ms = joint.cost_ms;
-      rec.sequential_cost_ms = joint.sequential_cost_ms;
-      rec.encoding_footprint_bytes = joint.footprint_bytes;
-      rec.encoding_picker_cost_ms = joint.picker_cost_ms;
-      rec.memory_budget_bytes = options_.encoding.memory_budget_bytes;
-      rec.encoding_budget_feasible = joint.feasible;
-      std::ostringstream note;
-      note << "joint layout+encoding search ("
-           << (joint.exact ? "exact" : "greedy") << ", "
-           << joint.evaluated_assignments << " designs): cost "
-           << joint.cost_ms << " ms vs sequential pipeline "
-           << joint.sequential_cost_ms << " ms, footprint "
-           << joint.footprint_bytes << " bytes";
-      if (options_.encoding.memory_budget_bytes.has_value()) {
-        note << ", budget " << *options_.encoding.memory_budget_bytes
-             << " bytes " << (joint.feasible ? "met" : "NOT met");
-        if (!joint.feasible) {
-          note << " (floor " << joint.min_footprint_bytes << " bytes)";
-        }
-      }
-      rec.rationale.push_back(note.str());
+    if (const LogicalTable* table = db_->catalog().GetTable(name)) {
+      add(CurrentLayoutContext(*table, db_->catalog().GetStatistics(name)),
+          "current layout");
     }
-  } else {
-    // Staged mode: per-column encoding search over the frozen layouts —
-    // the picker's heuristic codec choices replaced by the cost-optimal
-    // assignment under the configured memory budget.
-    EncodingSearchResult encodings =
-        encoding_search.Search(workload, rec.layouts);
-    evaluated_assignments = encodings.evaluated_assignments;
-    repair_iterations = encodings.repair_iterations;
-    hysteresis_applied = encodings.hysteresis_applied;
-    if (!encodings.tables.empty()) {
-      for (const auto& [name, assignment] : encodings.tables) {
-        rec.layouts.at(name).encodings = assignment.encodings;
-        rec.encoding_footprint_by_table[name] = assignment.footprint_bytes;
+    candidates.emplace(name, std::move(list));
+  }
+  JointSearchResult joint = encoding_search.SearchJoint(workload,
+                                                        candidates);
+  if (!joint.tables.empty()) {
+    for (const auto& [name, design] : joint.tables) {
+      rec.layouts.at(name) = design.context;
+      rec.encoding_footprint_by_table[name] = design.footprint_bytes;
+      // Report a move only when the chosen layout deviates from the
+      // staged pick AND from what the catalog already has (hysteresis
+      // keeping the current layout against a drifted staged pick is not
+      // a move — no DDL is emitted for it either).
+      const LogicalTable* table = db_->catalog().GetTable(name);
+      if (design.layout_changed && table != nullptr &&
+          !(table->layout() == design.context.layout)) {
+        std::ostringstream flip;
+        flip << name << ": joint budget search moved the layout to "
+             << design.context.layout.ToString() << " (" << design.reason
+             << ", footprint " << design.footprint_bytes << " bytes)";
+        rec.rationale.push_back(flip.str());
       }
-      rec.estimated_cost_ms = encodings.cost_ms;
-      rec.sequential_cost_ms = encodings.cost_ms;
-      rec.encoding_footprint_bytes = encodings.footprint_bytes;
-      rec.encoding_picker_cost_ms = encodings.picker_cost_ms;
-      rec.memory_budget_bytes = options_.encoding.memory_budget_bytes;
-      rec.encoding_budget_feasible = encodings.feasible;
-      std::ostringstream note;
-      note << "encoding search (" << (encodings.exact ? "exact" : "greedy")
-           << ", " << encodings.evaluated_assignments
-           << " assignments): footprint " << encodings.footprint_bytes
-           << " bytes vs picker " << encodings.picker_footprint_bytes
-           << " bytes";
-      if (options_.encoding.memory_budget_bytes.has_value()) {
-        note << ", budget " << *options_.encoding.memory_budget_bytes
-             << " bytes " << (encodings.feasible ? "met" : "NOT met");
-        if (!encodings.feasible) {
-          note << " (floor " << encodings.min_footprint_bytes << " bytes)";
-        }
-      }
-      rec.rationale.push_back(note.str());
     }
+    rec.estimated_cost_ms = joint.cost_ms;
+    rec.sequential_cost_ms = joint.sequential_cost_ms;
+    rec.sequential_feasible = joint.sequential_feasible;
+    rec.encoding_footprint_bytes = joint.footprint_bytes;
+    rec.encoding_picker_cost_ms = joint.picker_cost_ms;
+    rec.memory_budget_bytes = options_.encoding.memory_budget_bytes;
+    rec.encoding_budget_feasible = joint.feasible;
+    std::ostringstream note;
+    note << "joint layout+encoding search ("
+         << (joint.exact ? "exact" : "greedy") << ", "
+         << joint.evaluated_assignments << " designs): cost "
+         << joint.cost_ms << " ms vs sequential pipeline "
+         << joint.sequential_cost_ms << " ms, footprint "
+         << joint.footprint_bytes << " bytes";
+    if (options_.encoding.memory_budget_bytes.has_value()) {
+      note << ", budget " << *options_.encoding.memory_budget_bytes
+           << " bytes " << (joint.feasible ? "met" : "NOT met");
+      if (!joint.feasible) {
+        note << " (floor " << joint.min_footprint_bytes << " bytes)";
+      }
+    }
+    rec.rationale.push_back(note.str());
   }
 
   // Emit DDL for tables whose layout changes — or whose cost-derived
@@ -491,9 +449,7 @@ Result<Recommendation> StorageAdvisor::Recommend(
   }
 
   if (telemetry_on) {
-    observe_phase(options_.joint_budget_search ? "joint_search"
-                                               : "encoding_search",
-                  phase_sw.ElapsedMs());
+    observe_phase("joint_search", phase_sw.ElapsedMs());
     observe_phase("total", total_sw.ElapsedMs());
     reg.GetCounter("hsdb_advisor_searches_total",
                    "Full advisor recommendation searches run.")
@@ -501,11 +457,11 @@ Result<Recommendation> StorageAdvisor::Recommend(
     reg.GetCounter("hsdb_advisor_evaluated_assignments_total",
                    "Workload cost evaluations performed by the "
                    "encoding/joint searches (search effort).")
-        .Increment(evaluated_assignments);
+        .Increment(joint.evaluated_assignments);
     reg.GetCounter("hsdb_advisor_budget_repair_iterations_total",
                    "Greedy budget-repair evictions across all searches.")
-        .Increment(repair_iterations);
-    if (hysteresis_applied) {
+        .Increment(joint.repair_iterations);
+    if (joint.hysteresis_applied) {
       reg.GetCounter("hsdb_advisor_hysteresis_rejections_total",
                      "Searches where the hysteresis rule kept the incumbent "
                      "design against a marginal challenger.")

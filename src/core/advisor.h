@@ -43,19 +43,15 @@ struct AdvisorOptions {
   TableAdvisor::Options table_options;
   /// Horizontal/vertical split enumeration limits and validation.
   PartitionAdvisor::Options partition_options;
-  /// Per-column encoding search over the chosen layouts: candidates, exact
-  /// fallback threshold and — the user knob — encoding.memory_budget_bytes,
-  /// the total memory budget for encoded column-store segments.
-  /// Recommendations under a budget emit a WITH (MEMORY_BUDGET ...) DDL
-  /// clause and cost-derived ENCODING (...) assignments.
+  /// Joint layout + per-column encoding search: candidates, exact fallback
+  /// threshold and — the user knob — encoding.memory_budget_bytes, the
+  /// total memory budget for encoded column-store segments. Layouts and
+  /// codecs are searched together under that one budget, so a binding
+  /// budget can flip a table's layout (row store, narrower hybrid split)
+  /// instead of only downgrading codecs. Recommendations under a budget
+  /// emit a WITH (MEMORY_BUDGET ...) DDL clause and cost-derived
+  /// ENCODING (...) assignments.
   EncodingSearchOptions encoding;
-  /// Joint layout+encoding search (default): layout candidates and codec
-  /// assignments are explored together under the one shared memory budget,
-  /// so a binding budget can flip a table's layout (row store, narrower
-  /// hybrid split) instead of only downgrading codecs. With false the
-  /// advisor restores the staged pipeline: TableAdvisor/PartitionAdvisor
-  /// freeze the layouts, then the encoding search runs on them.
-  bool joint_budget_search = true;
   /// Raw queries retained by the online recorder (reservoir sample).
   size_t recorder_sample = 4096;
   /// Counters of the online recorder's per-table hot-update-key sketch
@@ -99,11 +95,12 @@ struct Recommendation {
   bool encoding_budget_feasible = true;
 
   /// Joint-search reporting: what the staged layout-then-encoding pipeline
-  /// would have cost (the joint result never exceeds it when the staged
-  /// design is budget-feasible; equal to estimated_cost_ms when the joint
-  /// mode is disabled), and the per-table encoded footprint the chosen
-  /// design charges against the budget (budget attribution).
+  /// would have cost and whether it met the budget (the joint result never
+  /// costs more when the staged design is budget-feasible), and the
+  /// per-table encoded footprint the chosen design charges against the
+  /// budget (budget attribution).
   double sequential_cost_ms = 0.0;
+  bool sequential_feasible = true;
   std::map<std::string, double> encoding_footprint_by_table;
 
   /// Pseudo-DDL statements realizing the recommendation.

@@ -101,13 +101,18 @@ ColumnCandidates BuildColumnCandidates(
 class IncrementalEvaluator {
  public:
   IncrementalEvaluator(const WorkloadCostEstimator& estimator,
-                       LayoutProvider provider,
+                       const Catalog& catalog, LayoutProvider provider,
                        const std::vector<WeightedQuery>& workload,
                        const std::map<std::string, size_t>& index_of)
       : estimator_(estimator), provider_(std::move(provider)) {
     for (const WeightedQuery& wq : workload) {
+      // Planned once: only the layout changes between evaluations. A query
+      // that fails planning costs nothing.
+      Result<Plan> plan = PlanQuery(catalog, wq.query);
+      if (!plan.ok()) continue;
       QueryEval entry;
       entry.wq = &wq;
+      entry.plan = std::move(plan).value();
       for (const std::string& name : TablesOf(wq.query)) {
         auto it = index_of.find(name);
         if (it != index_of.end() &&
@@ -118,7 +123,7 @@ class IncrementalEvaluator {
       }
       if (entry.touched.empty()) {
         running_total_ +=
-            wq.weight * estimator_.QueryCost(wq.query, provider_);
+            wq.weight * estimator_.QueryCost(wq.query, entry.plan, provider_);
       } else {
         affected_.push_back(std::move(entry));
       }
@@ -147,8 +152,9 @@ class IncrementalEvaluator {
       }
       if (!stale) continue;
       running_total_ -= entry.cost;
-      entry.cost = entry.wq->weight *
-                   estimator_.QueryCost(entry.wq->query, provider_);
+      entry.cost = entry.wq->weight * estimator_.QueryCost(
+                                          entry.wq->query, entry.plan,
+                                          provider_);
       running_total_ += entry.cost;
     }
     all_dirty_ = false;
@@ -161,6 +167,7 @@ class IncrementalEvaluator {
  private:
   struct QueryEval {
     const WeightedQuery* wq = nullptr;
+    Plan plan;
     std::vector<size_t> touched;  // searched-table indices
     double cost = 0.0;            // weighted, as of the last Evaluate()
   };
@@ -262,7 +269,8 @@ EncodingSearchResult EncodingSearch::Search(
     }
     return ctx;
   };
-  IncrementalEvaluator eval(estimator_, layout_provider, workload, index_of);
+  IncrementalEvaluator eval(estimator_, *catalog_, layout_provider, workload,
+                            index_of);
   auto mark_dirty = [&](size_t t) { eval.MarkDirty(t); };
   auto mark_all_dirty = [&]() { eval.MarkAllDirty(); };
   auto evaluate = [&]() { return eval.Evaluate(); };
@@ -686,7 +694,8 @@ JointSearchResult EncodingSearch::SearchJoint(
                : it->second;
   };
 
-  IncrementalEvaluator eval(estimator_, layout_provider, workload, index_of);
+  IncrementalEvaluator eval(estimator_, *catalog_, layout_provider, workload,
+                            index_of);
   auto mark_dirty = [&](size_t t) { eval.MarkDirty(t); };
   auto mark_all_dirty = [&]() { eval.MarkAllDirty(); };
   auto evaluate = [&]() { return eval.Evaluate(); };

@@ -49,15 +49,6 @@ bool Covered(const std::vector<bool>& piece,
   return true;
 }
 
-std::vector<const PredicateTerm*> TermsForTable(const Predicate& predicate,
-                                                int table_index) {
-  std::vector<const PredicateTerm*> terms;
-  for (const PredicateTerm& term : predicate) {
-    if (term.column.table_index == table_index) terms.push_back(&term);
-  }
-  return terms;
-}
-
 }  // namespace
 
 double EncodedRowFraction(const LayoutContext& ctx, const Schema& schema,
@@ -193,40 +184,38 @@ double WorkloadCostEstimator::InsertReencodeMultiplier(
 }
 
 double WorkloadCostEstimator::PredicateSelectivity(
-    const TableFacts& facts,
-    const std::vector<const PredicateTerm*>& terms) const {
+    const TableFacts& facts, std::span<const PredicateTerm> terms) const {
   if (terms.empty()) return 1.0;
   double selectivity = 1.0;
-  for (const PredicateTerm* term : terms) {
+  for (const PredicateTerm& term : terms) {
     if (facts.stats != nullptr &&
-        term->column.column < facts.stats->columns.size()) {
+        term.column.column < facts.stats->columns.size()) {
       selectivity *=
-          facts.stats->EstimateSelectivity(term->column.column, term->range);
+          facts.stats->EstimateSelectivity(term.column.column, term.range);
     } else {
-      selectivity *= term->range.IsPoint() ? 0.001 : 0.1;
+      selectivity *= term.range.IsPoint() ? 0.001 : 0.1;
     }
   }
   return std::clamp(selectivity, 0.0, 1.0);
 }
 
 bool WorkloadCostEstimator::HasRowStoreIndex(
-    const TableFacts& facts,
-    const std::vector<const PredicateTerm*>& terms) const {
+    const TableFacts& facts, std::span<const PredicateTerm> terms) const {
   if (facts.table == nullptr) return false;
   const Schema& schema = facts.table->schema();
-  for (const PredicateTerm* term : terms) {
+  for (const PredicateTerm& term : terms) {
     // Primary-key point access uses the hash index.
     if (schema.primary_key().size() == 1 &&
-        term->column.column == schema.primary_key()[0] &&
-        term->range.IsPoint()) {
+        term.column.column == schema.primary_key()[0] &&
+        term.range.IsPoint()) {
       return true;
     }
     // A sorted secondary index on any predicate column of a row-store piece.
     for (const RowGroup& group : facts.table->groups()) {
       for (const Fragment& frag : group.fragments) {
-        if (!frag.Contains(term->column.column)) continue;
+        if (!frag.Contains(term.column.column)) continue;
         if (const auto* rs = dynamic_cast<const RowTable*>(frag.table.get())) {
-          if (rs->HasSortedIndex(frag.FragColumn(term->column.column))) {
+          if (rs->HasSortedIndex(frag.FragColumn(term.column.column))) {
             return true;
           }
         }
@@ -239,24 +228,32 @@ bool WorkloadCostEstimator::HasRowStoreIndex(
 double WorkloadCostEstimator::QueryCost(const Query& query,
                                         const LayoutProvider& layout_of)
     const {
-  switch (KindOf(query)) {
+  Result<Plan> plan = PlanQuery(*catalog_, query);
+  return plan.ok() ? QueryCost(query, *plan, layout_of) : 0.0;
+}
+
+double WorkloadCostEstimator::QueryCost(const Query& query, const Plan& plan,
+                                        const LayoutProvider& layout_of)
+    const {
+  switch (plan.kind) {
     case QueryKind::kAggregation:
-      return AggregationQueryCost(std::get<AggregationQuery>(query),
+      return AggregationQueryCost(std::get<AggregationQuery>(query), plan,
                                   layout_of);
     case QueryKind::kSelect:
-      return SelectQueryCost(std::get<SelectQuery>(query), layout_of);
+      return SelectQueryCost(std::get<SelectQuery>(query), plan, layout_of);
     case QueryKind::kInsert:
       return InsertQueryCost(std::get<InsertQuery>(query), layout_of);
     case QueryKind::kUpdate:
-      return UpdateQueryCost(std::get<UpdateQuery>(query), layout_of);
+      return UpdateQueryCost(std::get<UpdateQuery>(query), plan, layout_of);
     case QueryKind::kDelete:
-      return DeleteQueryCost(std::get<DeleteQuery>(query), layout_of);
+      return DeleteQueryCost(std::get<DeleteQuery>(query), plan, layout_of);
   }
   return 0.0;
 }
 
 double WorkloadCostEstimator::AggregationQueryCost(
-    const AggregationQuery& q, const LayoutProvider& layout_of) const {
+    const AggregationQuery& q, const Plan& plan,
+    const LayoutProvider& layout_of) const {
   TableFacts fact = FactsOf(q.tables[0]);
   if (fact.table == nullptr) return 0.0;
   const Schema& schema = fact.table->schema();
@@ -272,7 +269,7 @@ double WorkloadCostEstimator::AggregationQueryCost(
   const bool grouped = !q.group_by.empty();
   const bool filtered = !q.predicate.empty();
   // Fact-side predicate selectivity scales the aggregation/probe work.
-  std::vector<const PredicateTerm*> fact_terms = TermsForTable(q.predicate, 0);
+  const std::span<const PredicateTerm> fact_terms = plan.TermsOf(0);
   double selectivity = PredicateSelectivity(fact, fact_terms);
   LayoutContext ctx = layout_of(q.tables[0]);
 
@@ -287,8 +284,8 @@ double WorkloadCostEstimator::AggregationQueryCost(
   for (const ColumnRef& ref : q.group_by) {
     if (ref.table_index == 0) needed.push_back(ref.column);
   }
-  for (const PredicateTerm* term : fact_terms) {
-    needed.push_back(term->column.column);
+  for (const PredicateTerm& term : fact_terms) {
+    needed.push_back(term.column.column);
   }
   const double enc_scan = ScanEncodingMultiplier(fact, ctx, needed);
 
@@ -353,11 +350,12 @@ double WorkloadCostEstimator::AggregationQueryCost(
 }
 
 double WorkloadCostEstimator::SelectQueryCost(
-    const SelectQuery& q, const LayoutProvider& layout_of) const {
+    const SelectQuery& q, const Plan& plan,
+    const LayoutProvider& layout_of) const {
   TableFacts facts = FactsOf(q.table);
   if (facts.table == nullptr) return 0.0;
   const Schema& schema = facts.table->schema();
-  std::vector<const PredicateTerm*> terms = TermsForTable(q.predicate, 0);
+  const std::span<const PredicateTerm> terms = plan.TermsOf(0);
   double selectivity = PredicateSelectivity(facts, terms);
   bool rs_indexed = HasRowStoreIndex(facts, terms);
   LayoutContext ctx = layout_of(q.table);
@@ -365,10 +363,7 @@ double WorkloadCostEstimator::SelectQueryCost(
 
   // Primary-key point lookups take the hash-index fast path in both stores;
   // their cost is reconstruction width, not scanning.
-  const bool pk_point =
-      schema.primary_key().size() == 1 &&
-      IsPointPredicateOn(q.predicate, schema.primary_key()[0]);
-  if (pk_point) {
+  if (plan.path == AccessPath::kPkPoint) {
     auto point_in = [&](StoreType store) {
       return model_->PointSelectCost(store, k);
     };
@@ -391,8 +386,7 @@ double WorkloadCostEstimator::SelectQueryCost(
     return h * point_in(ctx.layout.horizontal->hot_store) + (1.0 - h) * cold;
   }
 
-  std::vector<ColumnId> needed = q.select_columns;
-  for (const PredicateTerm* term : terms) needed.push_back(term->column.column);
+  const std::vector<ColumnId>& needed = plan.needed;
   const double enc_scan = ScanEncodingMultiplier(facts, ctx, needed);
 
   // Which piece(s) serve the select?
@@ -424,16 +418,7 @@ double WorkloadCostEstimator::SelectQueryCost(
   if (!ctx.layout.horizontal.has_value()) return cold_cost(facts.rows);
   double hot_rows = facts.rows * ctx.hot_row_fraction;
   double cold_rows = facts.rows - hot_rows;
-  // Point-ish accesses hit the hot piece with hot_access_fraction; range
-  // scans over the whole table touch both pieces.
-  bool is_point = terms.size() == 1 && terms[0]->range.IsPoint() &&
-                  schema.primary_key().size() == 1 &&
-                  terms[0]->column.column == schema.primary_key()[0];
-  if (is_point) {
-    double h = ctx.hot_access_fraction;
-    return h * piece_cost(ctx.layout.horizontal->hot_store, hot_rows, false) +
-           (1.0 - h) * cold_cost(cold_rows);
-  }
+  // Range scans over the whole table touch both pieces.
   return piece_cost(ctx.layout.horizontal->hot_store, hot_rows, false) +
          cold_cost(cold_rows) + model_->UnionOverhead();
 }
@@ -464,11 +449,12 @@ double WorkloadCostEstimator::InsertQueryCost(
 }
 
 double WorkloadCostEstimator::UpdateQueryCost(
-    const UpdateQuery& q, const LayoutProvider& layout_of) const {
+    const UpdateQuery& q, const Plan& plan,
+    const LayoutProvider& layout_of) const {
   TableFacts facts = FactsOf(q.table);
   if (facts.table == nullptr) return 0.0;
   const Schema& schema = facts.table->schema();
-  std::vector<const PredicateTerm*> terms = TermsForTable(q.predicate, 0);
+  const std::span<const PredicateTerm> terms = plan.TermsOf(0);
   double selectivity = PredicateSelectivity(facts, terms);
   double affected = std::max(1.0, selectivity * facts.rows);
   LayoutContext ctx = layout_of(q.table);
@@ -477,16 +463,14 @@ double WorkloadCostEstimator::UpdateQueryCost(
   // affected rows — a select-shaped cost the store pays before writing. This
   // is what makes e.g. "update all lines of one order" expensive on a
   // column-store piece without the hash-index fast path.
-  const bool pk_point =
-      schema.primary_key().size() == 1 &&
-      IsPointPredicateOn(q.predicate, schema.primary_key()[0]);
+  const bool pk_point = plan.path == AccessPath::kPkPoint;
   const bool rs_indexed = HasRowStoreIndex(facts, terms);
 
   // Predicate columns decide which vertical piece performs the locate (and
   // which encoded segments a column-store locate scans).
   std::vector<ColumnId> pred_cols;
-  for (const PredicateTerm* term : terms) {
-    pred_cols.push_back(term->column.column);
+  for (const PredicateTerm& term : terms) {
+    pred_cols.push_back(term.column.column);
   }
   const double enc_scan = ScanEncodingMultiplier(facts, ctx, pred_cols);
 
@@ -539,11 +523,11 @@ double WorkloadCostEstimator::UpdateQueryCost(
 }
 
 double WorkloadCostEstimator::DeleteQueryCost(
-    const DeleteQuery& q, const LayoutProvider& layout_of) const {
+    const DeleteQuery& q, const Plan& plan,
+    const LayoutProvider& layout_of) const {
   TableFacts facts = FactsOf(q.table);
   if (facts.table == nullptr) return 0.0;
-  const Schema& schema = facts.table->schema();
-  std::vector<const PredicateTerm*> terms = TermsForTable(q.predicate, 0);
+  const std::span<const PredicateTerm> terms = plan.TermsOf(0);
   double selectivity = PredicateSelectivity(facts, terms);
   double affected = std::max(1.0, selectivity * facts.rows);
   LayoutContext ctx = layout_of(q.table);
@@ -551,11 +535,8 @@ double WorkloadCostEstimator::DeleteQueryCost(
   if (ctx.layout.horizontal.has_value() && ctx.hot_access_fraction > 0.5) {
     store = ctx.layout.horizontal->hot_store;
   }
-  const bool pk_point =
-      schema.primary_key().size() == 1 &&
-      IsPointPredicateOn(q.predicate, schema.primary_key()[0]);
   double locate = 0.0;
-  if (!pk_point) {
+  if (plan.path != AccessPath::kPkPoint) {
     locate = model_->SelectCost(
         store, 1, selectivity,
         store == StoreType::kRow ? HasRowStoreIndex(facts, terms) : true,

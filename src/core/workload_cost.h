@@ -7,11 +7,13 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "core/cost_model.h"
+#include "executor/plan.h"
 
 namespace hsdb {
 
@@ -97,8 +99,13 @@ class WorkloadCostEstimator {
   WorkloadCostEstimator(const CostModel* model, const Catalog* catalog)
       : model_(model), catalog_(catalog) {}
 
-  /// Estimated cost (ms) of one query under the given layouts.
+  /// Estimated cost (ms) of one query under the given layouts; 0 for a
+  /// query that fails planning (it does no work).
   double QueryCost(const Query& query, const LayoutProvider& layout_of) const;
+  /// The same from `plan`, the layout-independent part of `query`'s plan
+  /// (PlanQuery): for searches that cost one query under many layouts.
+  double QueryCost(const Query& query, const Plan& plan,
+                   const LayoutProvider& layout_of) const;
 
   /// Weighted sum over a workload.
   double WorkloadCost(const std::vector<WeightedQuery>& workload,
@@ -142,21 +149,24 @@ class WorkloadCostEstimator {
   double InsertReencodeMultiplier(const TableFacts& facts,
                                   const LayoutContext& ctx) const;
 
+  /// Selectivity of a conjunction of the plan's merged terms: one
+  /// estimate per column, multiplied across columns.
   double PredicateSelectivity(const TableFacts& facts,
-                              const std::vector<const PredicateTerm*>& terms)
-      const;
+                              std::span<const PredicateTerm> terms) const;
   bool HasRowStoreIndex(const TableFacts& facts,
-                        const std::vector<const PredicateTerm*>& terms) const;
+                        std::span<const PredicateTerm> terms) const;
 
-  double AggregationQueryCost(const AggregationQuery& q,
+  // Each costs a query from its plan's layout-independent part (terms,
+  // point decision, needed columns); the layout comes from `layout_of`.
+  double AggregationQueryCost(const AggregationQuery& q, const Plan& plan,
                               const LayoutProvider& layout_of) const;
-  double SelectQueryCost(const SelectQuery& q,
+  double SelectQueryCost(const SelectQuery& q, const Plan& plan,
                          const LayoutProvider& layout_of) const;
   double InsertQueryCost(const InsertQuery& q,
                          const LayoutProvider& layout_of) const;
-  double UpdateQueryCost(const UpdateQuery& q,
+  double UpdateQueryCost(const UpdateQuery& q, const Plan& plan,
                          const LayoutProvider& layout_of) const;
-  double DeleteQueryCost(const DeleteQuery& q,
+  double DeleteQueryCost(const DeleteQuery& q, const Plan& plan,
                          const LayoutProvider& layout_of) const;
 
   const CostModel* model_;

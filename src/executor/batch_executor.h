@@ -3,17 +3,19 @@
 // hot tables, so co-running their scans amortizes the decode cost).
 //
 // ExecuteBatch takes a batch of queries and returns results identical to
-// executing them through Database::Execute one at a time in order. Runs of
-// consecutive *shareable* reads on the same table — covering SELECTs and
-// single-table aggregations — execute as one shared group under a single
-// epoch pin and reader lock: every query's selection bitmap is produced by
-// one MultiFilterRangeSlice pass per predicate column (one decode of the
-// encoded segment fans out to all bitmaps, morsel-parallel when the scan
-// pool is installed), then each query materializes through the same
-// read-path code the serial executor uses. Everything else — DML, joins,
-// point-PK lookups, vertical-split fragments, index-seeded row-store scans,
-// validation failures — is delegated to Database::Execute, so the batch
-// path never changes semantics, only cost.
+// executing them through Database::Execute one at a time in order. Every
+// query is planned first (executor/plan.h). Runs of consecutive scan-path
+// reads on the same table — non-point SELECTs and single-table
+// aggregations — execute as one shared group under a single epoch pin and
+// reader lock: every query's selection bitmap is produced by one
+// MultiFilterRangeSlice pass per predicate column (one decode of the
+// encoded segment fans out to all bitmaps, morsel-parallel when the plan
+// says so), then each query materializes through the same read-path code
+// the serial executor uses. A member is delegated to Database::Execute
+// when its plan, resolved under the group's lock, is not shareable;
+// everything that does not plan a scan (points, joins, DML, invalid
+// queries) runs per statement without opening a group. So the batch path
+// never changes semantics, only cost.
 //
 // Equivalence guarantee (tests/executor/batch_equivalence_test.cc): per
 // query the result is bit-identical to serial execution at every thread
@@ -62,39 +64,29 @@ class BatchExecutor {
       const std::vector<Query>& queries,
       const std::vector<double>* queue_waits_ms = nullptr);
 
-  /// Table name of a batch-shareable read (covering SELECT / single-table
-  /// aggregation), or nullptr when the query must take the per-statement
-  /// path. Public because `explain` reports batch-shareability.
+  /// Table name of a query that may join a shared group — a SELECT or a
+  /// single-table aggregation — or nullptr. A syntactic pre-filter only:
+  /// whether the query is shared is its plan's `shareable` decision.
   static const std::string* ShareableTable(const Query& query);
 
  private:
   struct SharedRead;
 
-  /// Executes one same-table group of shareable reads under a single epoch
-  /// pin + reader lock. Members that survive preparation have their results
+  /// Executes one same-table group of scan-path reads under a single epoch
+  /// pin + reader lock. Members whose plan is shareable have their results
   /// filled (done = true); the rest are left for delegation.
   void ExecuteSharedGroup(const std::string& table_name,
                           std::vector<SharedRead>* members);
 
-  /// Validates one member against the live table version and resolves its
-  /// terms, needed columns and per-group covering fragments; marks it for
-  /// delegation when any serial-path special case applies.
-  void PrepareMember(const LogicalTable& table, SharedRead* m) const;
-
   /// Materializes one member's result from its shared-pass bitmaps through
   /// the serial read-path code.
-  void MaterializeMember(const LogicalTable& table, SharedRead* m) const;
+  void MaterializeMember(SharedRead* m) const;
 
   bool TelemetryOn() const;
-  void NotifyShared(const Query& query, const QueryResult& result);
 
   Database* db_;
-  ParallelContext parallel_;
-  telemetry::Counter* queries_total_[kNumQueryKinds] = {};
-  telemetry::LogHistogram* query_latency_ms_ = nullptr;
   telemetry::Counter* batch_groups_total_ = nullptr;
   telemetry::Counter* batch_shared_queries_total_ = nullptr;
-  telemetry::Counter* slow_queries_total_ = nullptr;
   telemetry::LogHistogram* batch_width_ = nullptr;
 };
 

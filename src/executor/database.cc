@@ -86,16 +86,15 @@ Database::Database(Options options)
   if (num_threads_ > 1) {
     // d-way parallelism = the query thread + d-1 pool workers.
     pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(num_threads_) - 1);
-    ParallelContext ctx;
-    ctx.pool = pool_.get();
-    ctx.morsels_total = &metrics_->GetCounter(
+    parallel_.pool = pool_.get();
+    parallel_.morsels_total = &metrics_->GetCounter(
         "hsdb_scan_morsels_total",
         "Morsels dispatched by the parallel scan path.");
-    ctx.queue_depth = &metrics_->GetGauge(
+    parallel_.queue_depth = &metrics_->GetGauge(
         "hsdb_scan_queue_depth",
         "Worker-queue depth sampled at each parallel scan dispatch (pending "
         "tasks plus the dispatched morsels).");
-    executor_.set_parallel(ctx);
+    executor_.set_parallel(parallel_);
   }
   for (int i = 0; i < kNumQueryKinds; ++i) {
     const std::string kind(QueryKindName(static_cast<QueryKind>(i)));
@@ -197,31 +196,6 @@ Result<QueryResult> Database::ExecuteTraced(const Query& query) {
   result.elapsed_ms = sw.ElapsedMs();
   result.trace = std::make_shared<const telemetry::TraceSpan>(tracer.Finish());
 
-  queries_total_[static_cast<int>(kind)]->Increment();
-  query_latency_ms_->Observe(result.elapsed_ms);
-  const double slow_threshold = slowlog_.threshold_ms();
-  if (slow_threshold > 0.0 && result.elapsed_ms >= slow_threshold) {
-    slow_queries_total_->Increment();
-    if (slowlog_.ShouldRecord(result.elapsed_ms)) {
-      // Only now pay for rendering the query and trace summary.
-      telemetry::SlowlogRecord record;
-      record.query = QueryToString(query);
-      record.kind = std::string(QueryKindName(kind));
-      record.elapsed_ms = result.elapsed_ms;
-      record.queue_wait_ms = telemetry::CurrentQueueWaitMs();
-      record.predicted_cost_ms = predicted_ms;
-      if (result.trace != nullptr) {
-        std::ostringstream phases;
-        for (size_t i = 0; i < result.trace->children.size(); ++i) {
-          if (i > 0) phases << ' ';
-          phases << result.trace->children[i].name << '='
-                 << result.trace->children[i].elapsed_ms;
-        }
-        record.trace_summary = phases.str();
-      }
-      slowlog_.Record(std::move(record));
-    }
-  }
   if (predicted_ms >= 0.0) {
     result.predicted_cost_ms = predicted_ms;
     const std::vector<std::string> tables = TablesOf(query);
@@ -234,8 +208,42 @@ Result<QueryResult> Database::ExecuteTraced(const Query& query) {
       cost_observed_total_ms_->Add(result.elapsed_ms);
     }
   }
-  if (QueryObserver* obs = observer()) obs->OnQuery(query, result);
+  NoteQuery(query, result, telemetry::CurrentQueueWaitMs(), /*shared=*/false);
   return result;
+}
+
+void Database::NoteQuery(const Query& query, const QueryResult& result,
+                         double queue_wait_ms, bool shared) {
+  if (TelemetryOn()) {
+    const QueryKind kind = KindOf(query);
+    queries_total_[static_cast<int>(kind)]->Increment();
+    query_latency_ms_->Observe(result.elapsed_ms);
+    const double slow_threshold = slowlog_.threshold_ms();
+    if (slow_threshold > 0.0 && result.elapsed_ms >= slow_threshold) {
+      slow_queries_total_->Increment();
+      if (slowlog_.ShouldRecord(result.elapsed_ms)) {
+        // Only now pay for rendering the query and trace summary.
+        telemetry::SlowlogRecord record;
+        record.query = QueryToString(query);
+        record.kind = std::string(QueryKindName(kind));
+        record.elapsed_ms = result.elapsed_ms;
+        record.queue_wait_ms = queue_wait_ms;
+        record.predicted_cost_ms = result.predicted_cost_ms;
+        if (result.trace != nullptr) {
+          std::ostringstream phases;
+          for (size_t i = 0; i < result.trace->children.size(); ++i) {
+            if (i > 0) phases << ' ';
+            phases << result.trace->children[i].name << '='
+                   << result.trace->children[i].elapsed_ms;
+          }
+          record.trace_summary = phases.str();
+        }
+        record.shared = shared;
+        slowlog_.Record(std::move(record));
+      }
+    }
+  }
+  if (QueryObserver* obs = observer()) obs->OnQuery(query, result);
 }
 
 void Database::AfterStatementMaintenance(const Query& query) {

@@ -226,16 +226,17 @@ class Database {
   /// advisor reads this to configure the cost model's parallel scan factor.
   int num_threads() const { return num_threads_; }
 
-  /// Worker pool of the morsel-parallel scan path; nullptr when serial.
-  /// The BatchExecutor reuses it so shared scans parallelize like
-  /// single-statement scans do.
-  ThreadPool* scan_pool() const { return pool_.get(); }
+  /// The morsel-parallel scan context (pool and telemetry handles; a null
+  /// pool when serial). The BatchExecutor and `explain` plan with it, so
+  /// shared scans parallelize exactly like single-statement scans do.
+  const ParallelContext& parallel() const { return parallel_; }
 
-  /// The installed workload observer (nullptr when none). The BatchExecutor
-  /// notifies it for queries it executes outside Database::Execute.
-  QueryObserver* query_observer() const {
-    return observer_.load(std::memory_order_acquire);
-  }
+  /// Per-query accounting of a query answered outside Execute — the
+  /// BatchExecutor's shared scans, `shared` marking their slow-query
+  /// records: query counts and latency, the slow-query log (telemetry
+  /// on), then the workload observer. Execute does the same for its own.
+  void NoteQuery(const Query& query, const QueryResult& result,
+                 double queue_wait_ms, bool shared);
 
  private:
   /// True when per-query telemetry should run right now.
@@ -265,6 +266,7 @@ class Database {
   size_t migration_chunk_rows_ = 16384;
   int migration_replay_rounds_ = 4;
   std::unique_ptr<ThreadPool> pool_;  // created only when num_threads_ > 1
+  ParallelContext parallel_;
 
   telemetry::MetricsRegistry* metrics_;
   CostPredictor cost_predictor_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <unordered_map>
 
 #include "executor/aggregate.h"
@@ -22,145 +23,92 @@ struct ValueHasher {
 }  // namespace
 
 Result<QueryResult> Executor::Execute(const Query& query) {
-  switch (KindOf(query)) {
-    case QueryKind::kAggregation:
-      return ExecuteAggregation(std::get<AggregationQuery>(query));
+  HSDB_ASSIGN_OR_RETURN(Plan plan, PlanQuery(*catalog_, query));
+  ResolvePaths(parallel_, &plan);
+  switch (plan.kind) {
+    case QueryKind::kAggregation: {
+      const auto& q = std::get<AggregationQuery>(query);
+      return plan.path == AccessPath::kStarJoin
+                 ? StarJoinAggregation(q, plan)
+                 : SingleTableAggregation(q, plan);
+    }
     case QueryKind::kSelect:
-      return ExecuteSelect(std::get<SelectQuery>(query));
-    case QueryKind::kInsert:
-      return ExecuteInsert(std::get<InsertQuery>(query));
-    case QueryKind::kUpdate:
-      return ExecuteUpdate(std::get<UpdateQuery>(query));
+      return ExecuteSelect(std::get<SelectQuery>(query), plan);
+    case QueryKind::kInsert: {
+      telemetry::ScopedSpan write_span("write");
+      HSDB_RETURN_IF_ERROR(plan.table->Insert(std::get<InsertQuery>(query).row));
+      QueryResult result;
+      result.affected_rows = 1;
+      return result;
+    }
+    case QueryKind::kUpdate: {
+      const auto& q = std::get<UpdateQuery>(query);
+      return ExecuteWrite(plan, [&](const PrimaryKey& pk) {
+        return plan.table->UpdateByPk(pk, q.set_columns, q.set_values);
+      });
+    }
     case QueryKind::kDelete:
-      return ExecuteDelete(std::get<DeleteQuery>(query));
+      return ExecuteWrite(plan, [&](const PrimaryKey& pk) {
+        return plan.table->DeleteByPk(pk);
+      });
   }
   return Status::Internal("unreachable query kind");
 }
 
-Result<QueryResult> Executor::ExecuteSelect(const SelectQuery& q) {
-  HSDB_ASSIGN_OR_RETURN(LogicalTable * table, catalog_->Find(q.table));
-  const Schema& schema = table->schema();
-  for (ColumnId col : q.select_columns) {
-    if (col >= schema.num_columns()) {
-      return Status::InvalidArgument("select column out of range");
-    }
-  }
-  std::vector<const PredicateTerm*> terms = rp::TermsForTable(q.predicate, 0);
-  if (terms.size() != q.predicate.size()) {
-    return Status::InvalidArgument("select predicate references other tables");
-  }
-  HSDB_RETURN_IF_ERROR(rp::ValidateTerms(schema, terms));
-
+Result<QueryResult> Executor::ExecuteSelect(const SelectQuery& q,
+                                            const Plan& plan) {
   QueryResult result;
   const size_t limit =
       q.limit.value_or(std::numeric_limits<size_t>::max());
 
-  // Point fast path: single equality on a single-column primary key.
-  if (schema.primary_key().size() == 1 &&
-      IsPointPredicateOn(q.predicate, schema.primary_key()[0])) {
+  if (plan.path == AccessPath::kPkPoint) {
     telemetry::ScopedSpan lookup_span("pk_lookup");
-    Result<Row> row =
-        table->GetByPk(PrimaryKey::Of(*q.predicate[0].range.lo));
+    Result<Row> row = plan.table->GetByPk(PrimaryKey::Of(plan.point_key()));
     if (row.ok() && limit > 0) {
       result.rows.push_back(ProjectRow(*row, q.select_columns));
     }
     return result;
   }
 
-  const std::vector<ColumnId> needed = rp::NeededColumns(q, terms);
-
+  const std::span<const PredicateTerm> terms = plan.TermsOf(0);
   telemetry::ScopedSpan scan_span("scan");
-  for (size_t g = 0; g < table->groups().size(); ++g) {
+  for (size_t g = 0; g < plan.groups.size(); ++g) {
     if (result.rows.size() >= limit) break;
-    const RowGroup& group = table->groups()[g];
-    if (const Fragment* cover = rp::CoveringFragment(group, needed)) {
-      if (rp::UseParallelScan(parallel_, *cover, terms)) {
+    const Fragment* cover = plan.groups[g].cover;
+    switch (plan.groups[g].path) {
+      case GroupPath::kParallelScan:
         rp::ParallelSelectCover(parallel_, *cover, terms, q.select_columns,
                                 limit, /*prefiltered=*/nullptr, &result);
-        continue;
+        break;
+      case GroupPath::kSerialScan:
+      case GroupPath::kIndexSeeded: {
+        Bitmap bm = rp::EvaluateOnFragment(*cover, terms);
+        rp::SelectFromBitmap(*cover, bm, q.select_columns, limit, &result);
+        break;
       }
-      Bitmap bm = rp::EvaluateOnFragment(*cover, terms);
-      rp::SelectFromBitmap(*cover, bm, q.select_columns, limit, &result);
-    } else {
-      // Vertical-split slow path: resolve keys, then stitch projections.
-      telemetry::ScopedSpan stitch_span("stitch");
-      HSDB_ASSIGN_OR_RETURN(std::vector<PrimaryKey> pks,
-                            rp::MatchingPksInGroup(group, terms));
-      for (const PrimaryKey& pk : pks) {
-        if (result.rows.size() >= limit) break;
-        HSDB_ASSIGN_OR_RETURN(Row row, table->GetByPk(pk));
-        result.rows.push_back(ProjectRow(row, q.select_columns));
+      case GroupPath::kStitch: {
+        // Resolve keys, then stitch projections.
+        telemetry::ScopedSpan stitch_span("stitch");
+        HSDB_ASSIGN_OR_RETURN(
+            std::vector<PrimaryKey> pks,
+            rp::MatchingPksInGroup(plan.table->groups()[g], terms));
+        for (const PrimaryKey& pk : pks) {
+          if (result.rows.size() >= limit) break;
+          HSDB_ASSIGN_OR_RETURN(Row row, plan.table->GetByPk(pk));
+          result.rows.push_back(ProjectRow(row, q.select_columns));
+        }
+        break;
       }
     }
   }
   return result;
 }
 
-Result<QueryResult> Executor::ExecuteInsert(const InsertQuery& q) {
-  HSDB_ASSIGN_OR_RETURN(LogicalTable * table, catalog_->Find(q.table));
-  telemetry::ScopedSpan write_span("write");
-  HSDB_RETURN_IF_ERROR(table->Insert(q.row));
+Result<QueryResult> Executor::ExecuteWrite(
+    const Plan& plan, const std::function<Status(const PrimaryKey&)>& write) {
   QueryResult result;
-  result.affected_rows = 1;
-  return result;
-}
-
-Result<QueryResult> Executor::ExecuteUpdate(const UpdateQuery& q) {
-  HSDB_ASSIGN_OR_RETURN(LogicalTable * table, catalog_->Find(q.table));
-  const Schema& schema = table->schema();
-  if (q.set_columns.size() != q.set_values.size()) {
-    return Status::InvalidArgument("set columns/values arity mismatch");
-  }
-  std::vector<const PredicateTerm*> terms = rp::TermsForTable(q.predicate, 0);
-  if (terms.size() != q.predicate.size()) {
-    return Status::InvalidArgument("update predicate references other tables");
-  }
-  HSDB_RETURN_IF_ERROR(rp::ValidateTerms(schema, terms));
-
-  QueryResult result;
-  // Point fast path.
-  if (schema.primary_key().size() == 1 &&
-      IsPointPredicateOn(q.predicate, schema.primary_key()[0])) {
-    Status s = table->UpdateByPk(PrimaryKey::Of(*q.predicate[0].range.lo),
-                                 q.set_columns, q.set_values);
-    if (s.ok()) {
-      result.affected_rows = 1;
-    } else if (s.code() != StatusCode::kNotFound) {
-      return s;
-    }
-    return result;
-  }
-
-  std::vector<PrimaryKey> all_pks;
-  {
-    telemetry::ScopedSpan scan_span("scan");
-    for (const RowGroup& group : table->groups()) {
-      HSDB_ASSIGN_OR_RETURN(std::vector<PrimaryKey> pks,
-                            rp::MatchingPksInGroup(group, terms));
-      for (PrimaryKey& pk : pks) all_pks.push_back(std::move(pk));
-    }
-  }
-  telemetry::ScopedSpan write_span("write");
-  for (const PrimaryKey& pk : all_pks) {
-    HSDB_RETURN_IF_ERROR(table->UpdateByPk(pk, q.set_columns, q.set_values));
-    ++result.affected_rows;
-  }
-  return result;
-}
-
-Result<QueryResult> Executor::ExecuteDelete(const DeleteQuery& q) {
-  HSDB_ASSIGN_OR_RETURN(LogicalTable * table, catalog_->Find(q.table));
-  std::vector<const PredicateTerm*> terms = rp::TermsForTable(q.predicate, 0);
-  if (terms.size() != q.predicate.size()) {
-    return Status::InvalidArgument("delete predicate references other tables");
-  }
-  HSDB_RETURN_IF_ERROR(rp::ValidateTerms(table->schema(), terms));
-
-  QueryResult result;
-  const Schema& schema = table->schema();
-  if (schema.primary_key().size() == 1 &&
-      IsPointPredicateOn(q.predicate, schema.primary_key()[0])) {
-    Status s = table->DeleteByPk(PrimaryKey::Of(*q.predicate[0].range.lo));
+  if (plan.path == AccessPath::kPkPoint) {
+    Status s = write(PrimaryKey::Of(plan.point_key()));
     if (s.ok()) {
       result.affected_rows = 1;
     } else if (s.code() != StatusCode::kNotFound) {
@@ -171,143 +119,65 @@ Result<QueryResult> Executor::ExecuteDelete(const DeleteQuery& q) {
   std::vector<PrimaryKey> all_pks;
   {
     telemetry::ScopedSpan scan_span("scan");
-    for (const RowGroup& group : table->groups()) {
+    for (const RowGroup& group : plan.table->groups()) {
       HSDB_ASSIGN_OR_RETURN(std::vector<PrimaryKey> pks,
-                            rp::MatchingPksInGroup(group, terms));
+                            rp::MatchingPksInGroup(group, plan.TermsOf(0)));
       for (PrimaryKey& pk : pks) all_pks.push_back(std::move(pk));
     }
   }
   telemetry::ScopedSpan write_span("write");
   for (const PrimaryKey& pk : all_pks) {
-    HSDB_RETURN_IF_ERROR(table->DeleteByPk(pk));
+    HSDB_RETURN_IF_ERROR(write(pk));
     ++result.affected_rows;
   }
   return result;
 }
 
-Result<QueryResult> Executor::ExecuteAggregation(const AggregationQuery& q) {
-  if (q.tables.empty()) {
-    return Status::InvalidArgument("aggregation requires a table");
-  }
-  if (q.aggregates.empty()) {
-    return Status::InvalidArgument("aggregation requires an aggregate");
-  }
-  const int num_tables = static_cast<int>(q.tables.size());
-  auto check_ref = [&](const ColumnRef& ref) -> Status {
-    if (ref.table_index < 0 || ref.table_index >= num_tables) {
-      return Status::InvalidArgument("column ref table index out of range");
-    }
-    LogicalTable* t = catalog_->GetTable(q.tables[ref.table_index]);
-    if (t == nullptr) {
-      return Status::NotFound("table " + q.tables[ref.table_index] +
-                              " does not exist");
-    }
-    if (ref.column >= t->schema().num_columns()) {
-      return Status::InvalidArgument("column ref out of range");
-    }
-    return Status::OK();
-  };
-  for (const AggregateExpr& agg : q.aggregates) {
-    if (agg.fn != AggFn::kCount) {
-      HSDB_RETURN_IF_ERROR(check_ref(agg.column));
-      LogicalTable* t = catalog_->GetTable(q.tables[agg.column.table_index]);
-      if (!IsNumeric(t->schema().column(agg.column.column).type)) {
-        return Status::InvalidArgument("aggregate over non-numeric column");
-      }
-    }
-  }
-  for (const ColumnRef& ref : q.group_by) HSDB_RETURN_IF_ERROR(check_ref(ref));
-  for (const PredicateTerm& term : q.predicate) {
-    HSDB_RETURN_IF_ERROR(check_ref(term.column));
-  }
-  if (q.tables.size() == 1) {
-    if (!q.joins.empty()) {
-      return Status::InvalidArgument("joins require multiple tables");
-    }
-    return SingleTableAggregation(q);
-  }
-  // Star-join validation: exactly one edge from the fact to each dimension.
-  if (q.joins.size() != q.tables.size() - 1) {
-    return Status::InvalidArgument("star join requires one edge per dim");
-  }
-  std::vector<bool> joined(q.tables.size(), false);
-  for (const JoinEdge& e : q.joins) {
-    if (e.left_table != 0) {
-      return Status::NotSupported("only star joins on the first table");
-    }
-    if (e.right_table <= 0 || e.right_table >= num_tables ||
-        joined[e.right_table]) {
-      return Status::InvalidArgument("invalid join edge");
-    }
-    joined[e.right_table] = true;
-    HSDB_RETURN_IF_ERROR(check_ref({e.left_column, 0}));
-    HSDB_RETURN_IF_ERROR(check_ref({e.right_column, e.right_table}));
-  }
-  return StarJoinAggregation(q);
-}
-
-Result<QueryResult> Executor::SingleTableAggregation(
-    const AggregationQuery& q) {
-  HSDB_ASSIGN_OR_RETURN(LogicalTable * table, catalog_->Find(q.tables[0]));
-  std::vector<const PredicateTerm*> terms = rp::TermsForTable(q.predicate, 0);
+Result<QueryResult> Executor::SingleTableAggregation(const AggregationQuery& q,
+                                                     const Plan& plan) {
+  const std::span<const PredicateTerm> terms = plan.TermsOf(0);
   const bool grouped = !q.group_by.empty();
 
   std::vector<AggState> totals(q.aggregates.size());
   GroupMap group_map;
 
-  const std::vector<ColumnId> needed = rp::NeededColumns(q, terms);
-
   telemetry::ScopedSpan scan_span("scan");
-  for (size_t g = 0; g < table->groups().size(); ++g) {
-    const RowGroup& group = table->groups()[g];
-    const Fragment* cover = rp::CoveringFragment(group, needed);
-    if (cover != nullptr) {
-      if (rp::UseParallelScan(parallel_, *cover, terms)) {
+  for (size_t g = 0; g < plan.groups.size(); ++g) {
+    const Fragment* cover = plan.groups[g].cover;
+    switch (plan.groups[g].path) {
+      case GroupPath::kParallelScan:
         rp::ParallelAggregateCover(parallel_, *cover, terms, q, grouped,
                                    /*prefiltered=*/nullptr, &totals,
                                    &group_map);
-        continue;
+        break;
+      case GroupPath::kSerialScan:
+      case GroupPath::kIndexSeeded: {
+        Bitmap bm = rp::EvaluateOnFragment(*cover, terms);
+        rp::AggregateFromBitmap(*cover, bm, q, grouped, &totals, &group_map);
+        break;
       }
-      Bitmap bm = rp::EvaluateOnFragment(*cover, terms);
-      rp::AggregateFromBitmap(*cover, bm, q, grouped, &totals, &group_map);
-    } else {
-      // Spanning path: stitch full logical rows (vertical-partition join).
-      telemetry::ScopedSpan stitch_span("stitch");
-      table->ForEachRowInGroup(g, [&](const Row& row) {
-        for (const PredicateTerm* term : terms) {
-          if (!term->range.Contains(row[term->column.column])) return;
-        }
-        std::vector<AggState>* states = &totals;
-        if (grouped) {
-          GroupKey key;
-          key.values.reserve(q.group_by.size());
-          for (const ColumnRef& ref : q.group_by) {
-            key.values.push_back(row[ref.column]);
+      case GroupPath::kStitch: {
+        // Stitch full logical rows (vertical-partition join).
+        telemetry::ScopedSpan stitch_span("stitch");
+        plan.table->ForEachRowInGroup(g, [&](const Row& row) {
+          for (const PredicateTerm& term : terms) {
+            if (!term.range.Contains(row[term.column.column])) return;
           }
-          states = &group_map
-                        .try_emplace(std::move(key),
-                                     std::vector<AggState>(
-                                         q.aggregates.size()))
-                        .first->second;
-        }
-        for (size_t i = 0; i < q.aggregates.size(); ++i) {
-          const AggregateExpr& agg = q.aggregates[i];
-          if (agg.fn == AggFn::kCount) {
-            (*states)[i].AddCount(1.0);
-          } else {
-            (*states)[i].Add(row[agg.column.column].AsNumeric());
-          }
-        }
-      });
+          rp::FoldRow(
+              q, grouped,
+              [&](ColumnId col) -> const Value& { return row[col]; },
+              &totals, &group_map);
+        });
+        break;
+      }
     }
   }
 
   return rp::FinalizeAggregation(q, grouped, totals, group_map);
 }
 
-Result<QueryResult> Executor::StarJoinAggregation(const AggregationQuery& q) {
-  HSDB_ASSIGN_OR_RETURN(LogicalTable * fact, catalog_->Find(q.tables[0]));
-
+Result<QueryResult> Executor::StarJoinAggregation(const AggregationQuery& q,
+                                                  const Plan& plan) {
   struct DimSide {
     int table_index;
     ColumnId fact_join_col;
@@ -346,21 +216,18 @@ Result<QueryResult> Executor::StarJoinAggregation(const AggregationQuery& q) {
     for (DimSide& dim : dims) {
       HSDB_ASSIGN_OR_RETURN(LogicalTable * dt,
                             catalog_->Find(q.tables[dim.table_index]));
-      std::vector<const PredicateTerm*> dim_terms =
-          rp::TermsForTable(q.predicate, dim.table_index);
-      HSDB_RETURN_IF_ERROR(rp::ValidateTerms(dt->schema(), dim_terms));
+      const std::span<const PredicateTerm> dim_terms =
+          plan.TermsOf(dim.table_index);
       dt->ForEachRow([&](const Row& row) {
-        for (const PredicateTerm* term : dim_terms) {
-          if (!term->range.Contains(row[term->column.column])) return;
+        for (const PredicateTerm& term : dim_terms) {
+          if (!term.range.Contains(row[term.column.column])) return;
         }
         dim.rows.emplace(row[dim.dim_join_col], ProjectRow(row, dim.needed));
       });
     }
   }
 
-  std::vector<const PredicateTerm*> fact_terms =
-      rp::TermsForTable(q.predicate, 0);
-  HSDB_RETURN_IF_ERROR(rp::ValidateTerms(fact->schema(), fact_terms));
+  const std::span<const PredicateTerm> fact_terms = plan.TermsOf(0);
 
   const bool grouped = !q.group_by.empty();
   std::vector<AggState> totals(q.aggregates.size());
@@ -413,26 +280,9 @@ Result<QueryResult> Executor::StarJoinAggregation(const AggregationQuery& q) {
     }
   };
 
-  // Fact columns the probe needs.
-  std::vector<ColumnId> needed;
-  for (const DimSide& dim : dims) needed.push_back(dim.fact_join_col);
-  for (const AggregateExpr& agg : q.aggregates) {
-    if (agg.fn != AggFn::kCount && agg.column.table_index == 0) {
-      needed.push_back(agg.column.column);
-    }
-  }
-  for (const ColumnRef& ref : q.group_by) {
-    if (ref.table_index == 0) needed.push_back(ref.column);
-  }
-  for (const PredicateTerm* term : fact_terms) {
-    needed.push_back(term->column.column);
-  }
-  needed = rp::UniqueColumns(std::move(needed));
-
   telemetry::ScopedSpan probe_span("probe");
-  for (size_t g = 0; g < fact->groups().size(); ++g) {
-    const RowGroup& group = fact->groups()[g];
-    if (const Fragment* cover = rp::CoveringFragment(group, needed)) {
+  for (size_t g = 0; g < plan.groups.size(); ++g) {
+    if (const Fragment* cover = plan.groups[g].cover) {
       Bitmap bm = rp::EvaluateOnFragment(*cover, fact_terms);
       bm.ForEachSet([&](size_t rid) {
         probe_row([&](ColumnId col) {
@@ -440,9 +290,10 @@ Result<QueryResult> Executor::StarJoinAggregation(const AggregationQuery& q) {
         });
       });
     } else {
-      fact->ForEachRowInGroup(g, [&](const Row& row) {
-        for (const PredicateTerm* term : fact_terms) {
-          if (!term->range.Contains(row[term->column.column])) return;
+      telemetry::ScopedSpan stitch_span("stitch");
+      plan.table->ForEachRowInGroup(g, [&](const Row& row) {
+        for (const PredicateTerm& term : fact_terms) {
+          if (!term.range.Contains(row[term.column.column])) return;
         }
         probe_row([&](ColumnId col) { return row[col]; });
       });

@@ -2,30 +2,19 @@
 // transparently handling partitioned layouts — horizontal pieces are
 // processed per group and union-combined, vertical pieces are served from a
 // covering fragment when possible and PK-joined otherwise (the query
-// rewriting of paper §4, at the descriptor level).
+// rewriting of paper §4, at the descriptor level). Every query is planned
+// first (executor/plan.h); execution only dispatches on the plan.
 #ifndef HSDB_EXECUTOR_EXECUTOR_H_
 #define HSDB_EXECUTOR_EXECUTOR_H_
 
+#include <functional>
+
 #include "catalog/catalog.h"
+#include "executor/plan.h"
 #include "executor/query.h"
 #include "executor/result.h"
 
 namespace hsdb {
-
-class ThreadPool;
-namespace telemetry {
-class Counter;
-class Gauge;
-}  // namespace telemetry
-
-/// Shared-state handles for the morsel-parallel scan path. All members are
-/// optional: a null pool keeps every query on the serial path; null
-/// telemetry handles skip instrumentation.
-struct ParallelContext {
-  ThreadPool* pool = nullptr;
-  telemetry::Counter* morsels_total = nullptr;
-  telemetry::Gauge* queue_depth = nullptr;
-};
 
 class Executor {
  public:
@@ -41,14 +30,14 @@ class Executor {
   void set_parallel(const ParallelContext& ctx) { parallel_ = ctx; }
 
  private:
-  Result<QueryResult> ExecuteAggregation(const AggregationQuery& q);
-  Result<QueryResult> ExecuteSelect(const SelectQuery& q);
-  Result<QueryResult> ExecuteInsert(const InsertQuery& q);
-  Result<QueryResult> ExecuteUpdate(const UpdateQuery& q);
-  Result<QueryResult> ExecuteDelete(const DeleteQuery& q);
-
-  Result<QueryResult> SingleTableAggregation(const AggregationQuery& q);
-  Result<QueryResult> StarJoinAggregation(const AggregationQuery& q);
+  Result<QueryResult> ExecuteSelect(const SelectQuery& q, const Plan& plan);
+  /// Update/delete: `write` applies the statement to one located key.
+  Result<QueryResult> ExecuteWrite(
+      const Plan& plan, const std::function<Status(const PrimaryKey&)>& write);
+  Result<QueryResult> SingleTableAggregation(const AggregationQuery& q,
+                                             const Plan& plan);
+  Result<QueryResult> StarJoinAggregation(const AggregationQuery& q,
+                                          const Plan& plan);
 
   Catalog* catalog_;
   ParallelContext parallel_;

@@ -131,10 +131,4 @@ std::string QueryToString(const Query& query) {
   return os.str();
 }
 
-bool IsPointPredicateOn(const Predicate& predicate, ColumnId pk_column) {
-  return predicate.size() == 1 && predicate[0].column.table_index == 0 &&
-         predicate[0].column.column == pk_column &&
-         predicate[0].range.IsPoint();
-}
-
 }  // namespace hsdb

@@ -119,10 +119,6 @@ std::vector<std::string> TablesOf(const Query& query);
 /// Compact human-readable rendering for logs and examples.
 std::string QueryToString(const Query& query);
 
-/// True when the predicate consists of exactly one equality term on
-/// `pk_column` (the executor's point fast path).
-bool IsPointPredicateOn(const Predicate& predicate, ColumnId pk_column);
-
 }  // namespace hsdb
 
 #endif  // HSDB_EXECUTOR_QUERY_H_

@@ -11,78 +11,40 @@
 namespace hsdb {
 namespace readpath {
 
-std::vector<const PredicateTerm*> TermsForTable(const Predicate& predicate,
-                                                int table_index) {
-  std::vector<const PredicateTerm*> terms;
-  for (const PredicateTerm& term : predicate) {
-    if (term.column.table_index == table_index) terms.push_back(&term);
+bool HasIndexSeed(const Fragment& frag, std::span<const PredicateTerm> terms) {
+  if (frag.table->store() != StoreType::kRow) return false;
+  const auto& rs = static_cast<const RowTable&>(*frag.table);
+  for (const PredicateTerm& term : terms) {
+    if (rs.HasSortedIndex(frag.FragColumn(term.column.column))) return true;
   }
-  return terms;
-}
-
-Status ValidateTerms(const Schema& schema,
-                     const std::vector<const PredicateTerm*>& terms) {
-  for (const PredicateTerm* term : terms) {
-    if (term->column.column >= schema.num_columns()) {
-      return Status::InvalidArgument("predicate column out of range");
-    }
-    if (!term->range.lo.has_value() && !term->range.hi.has_value()) {
-      return Status::InvalidArgument("unbounded predicate term");
-    }
-  }
-  return Status::OK();
+  return false;
 }
 
 Bitmap EvaluateOnFragment(const Fragment& frag,
-                          const std::vector<const PredicateTerm*>& terms) {
+                          std::span<const PredicateTerm> terms) {
   telemetry::ScopedSpan span("predicate");
   const PhysicalTable& table = *frag.table;
   if (table.store() == StoreType::kRow) {
     const auto& rs = static_cast<const RowTable&>(table);
     for (size_t i = 0; i < terms.size(); ++i) {
-      ColumnId fc = frag.FragColumn(terms[i]->column.column);
+      ColumnId fc = frag.FragColumn(terms[i].column.column);
       if (!rs.HasSortedIndex(fc)) continue;
-      Result<Bitmap> seeded = rs.IndexFilter(fc, terms[i]->range);
+      Result<Bitmap> seeded = rs.IndexFilter(fc, terms[i].range);
       if (!seeded.ok()) continue;
       Bitmap bm = std::move(seeded).value();
       for (size_t j = 0; j < terms.size(); ++j) {
         if (j == i) continue;
-        table.FilterRange(frag.FragColumn(terms[j]->column.column),
-                          terms[j]->range, &bm);
+        table.FilterRange(frag.FragColumn(terms[j].column.column),
+                          terms[j].range, &bm);
       }
       return bm;
     }
   }
   Bitmap bm = table.live_bitmap();
-  for (const PredicateTerm* term : terms) {
-    table.FilterRange(frag.FragColumn(term->column.column), term->range, &bm);
+  for (const PredicateTerm& term : terms) {
+    table.FilterRange(frag.FragColumn(term.column.column), term.range, &bm);
   }
   return bm;
-}
-
-bool UseParallelScan(const ParallelContext& ctx, const Fragment& frag,
-                     const std::vector<const PredicateTerm*>& terms) {
-  if (ctx.pool == nullptr) return false;
-  if (frag.table->slot_count() <= kMorselRows) return false;
-  if (frag.table->store() == StoreType::kRow) {
-    const auto& rs = static_cast<const RowTable&>(*frag.table);
-    for (const PredicateTerm* term : terms) {
-      if (rs.HasSortedIndex(frag.FragColumn(term->column.column))) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool ScansInParallel(const ParallelContext& ctx, const LogicalTable& table,
-                     const std::vector<ColumnId>& needed,
-                     const std::vector<const PredicateTerm*>& terms) {
-  for (const RowGroup& group : table.groups()) {
-    const Fragment* cover = CoveringFragment(group, needed);
-    if (cover != nullptr && UseParallelScan(ctx, *cover, terms)) return true;
-  }
-  return false;
 }
 
 void NoteMorsels(const ParallelContext& ctx, size_t morsels) {
@@ -93,58 +55,58 @@ void NoteMorsels(const ParallelContext& ctx, size_t morsels) {
   }
 }
 
-void FilterMorsel(const Fragment& frag,
-                  const std::vector<const PredicateTerm*>& terms,
+void FilterMorsel(const Fragment& frag, std::span<const PredicateTerm> terms,
                   size_t begin, size_t end, Bitmap* bm) {
-  for (const PredicateTerm* term : terms) {
-    frag.table->FilterRangeSlice(frag.FragColumn(term->column.column),
-                                 term->range, begin, end, bm);
+  for (const PredicateTerm& term : terms) {
+    frag.table->FilterRangeSlice(frag.FragColumn(term.column.column),
+                                 term.range, begin, end, bm);
   }
 }
+
+namespace {
+
+/// The `select_columns` of fragment row `rid`.
+Row ProjectFragmentRow(const Fragment& cover, size_t rid,
+                       const std::vector<ColumnId>& select_columns) {
+  Row row;
+  row.reserve(select_columns.size());
+  for (ColumnId col : select_columns) {
+    row.push_back(cover.table->GetValue(rid, cover.FragColumn(col)));
+  }
+  return row;
+}
+
+}  // namespace
 
 void SelectFromBitmap(const Fragment& cover, const Bitmap& bm,
                       const std::vector<ColumnId>& select_columns,
                       size_t limit, QueryResult* result) {
   bm.ForEachSet([&](size_t rid) {
     if (result->rows.size() >= limit) return;
-    Row row;
-    row.reserve(select_columns.size());
-    for (ColumnId col : select_columns) {
-      row.push_back(cover.table->GetValue(rid, cover.FragColumn(col)));
-    }
-    result->rows.push_back(std::move(row));
+    result->rows.push_back(ProjectFragmentRow(cover, rid, select_columns));
   });
 }
 
 void ParallelSelectCover(const ParallelContext& ctx, const Fragment& cover,
-                         const std::vector<const PredicateTerm*>& terms,
+                         std::span<const PredicateTerm> terms,
                          const std::vector<ColumnId>& select_columns,
                          size_t limit, const Bitmap* prefiltered,
                          QueryResult* result) {
   telemetry::ScopedSpan par_span("scan_parallel");
   const size_t n = cover.table->slot_count();
-  const size_t morsels = MorselCount(n);
-  NoteMorsels(ctx, morsels);
   Bitmap local;
   const Bitmap* bm = prefiltered;
   if (bm == nullptr) {
     local = cover.table->live_bitmap();
     bm = &local;
   }
-  std::vector<std::vector<Row>> batches(morsels);
-  ctx.pool->ParallelFor(morsels, [&](size_t m) {
-    const size_t begin = m * kMorselRows;
-    const size_t end = std::min(begin + kMorselRows, n);
+  std::vector<std::vector<Row>> batches(MorselCount(n));
+  ParallelMorsels(ctx, n, [&](size_t m, size_t begin, size_t end) {
     if (prefiltered == nullptr) FilterMorsel(cover, terms, begin, end, &local);
     std::vector<Row>& rows = batches[m];
     bm->ForEachSetInRange(begin, end, [&](size_t rid) {
       if (rows.size() >= limit) return;  // no morsel needs more than `limit`
-      Row row;
-      row.reserve(select_columns.size());
-      for (ColumnId col : select_columns) {
-        row.push_back(cover.table->GetValue(rid, cover.FragColumn(col)));
-      }
-      rows.push_back(std::move(row));
+      rows.push_back(ProjectFragmentRow(cover, rid, select_columns));
     });
   });
   for (std::vector<Row>& rows : batches) {
@@ -172,27 +134,12 @@ void AggregateFromBitmap(const Fragment& cover, const Bitmap& bm,
     return;
   }
   bm.ForEachSet([&](size_t rid) {
-    GroupKey key;
-    key.values.reserve(q.group_by.size());
-    for (const ColumnRef& ref : q.group_by) {
-      key.values.push_back(
-          cover.table->GetValue(rid, cover.FragColumn(ref.column)));
-    }
-    auto& states =
-        group_map
-            ->try_emplace(std::move(key),
-                          std::vector<AggState>(q.aggregates.size()))
-            .first->second;
-    for (size_t i = 0; i < q.aggregates.size(); ++i) {
-      const AggregateExpr& agg = q.aggregates[i];
-      if (agg.fn == AggFn::kCount) {
-        states[i].AddCount(1.0);
-      } else {
-        states[i].Add(
-            cover.table->GetValue(rid, cover.FragColumn(agg.column.column))
-                .AsNumeric());
-      }
-    }
+    FoldRow(
+        q, grouped,
+        [&](ColumnId col) {
+          return cover.table->GetValue(rid, cover.FragColumn(col));
+        },
+        totals, group_map);
   });
 }
 
@@ -207,25 +154,21 @@ struct MorselAgg {
 }  // namespace
 
 void ParallelAggregateCover(const ParallelContext& ctx, const Fragment& cover,
-                            const std::vector<const PredicateTerm*>& terms,
+                            std::span<const PredicateTerm> terms,
                             const AggregationQuery& q, bool grouped,
                             const Bitmap* prefiltered,
                             std::vector<AggState>* totals,
                             GroupMap* group_map) {
   telemetry::ScopedSpan par_span("scan_parallel");
   const size_t n = cover.table->slot_count();
-  const size_t morsels = MorselCount(n);
-  NoteMorsels(ctx, morsels);
   Bitmap local;
   const Bitmap* bm = prefiltered;
   if (bm == nullptr) {
     local = cover.table->live_bitmap();
     bm = &local;
   }
-  std::vector<MorselAgg> partials(morsels);
-  ctx.pool->ParallelFor(morsels, [&](size_t m) {
-    const size_t begin = m * kMorselRows;
-    const size_t end = std::min(begin + kMorselRows, n);
+  std::vector<MorselAgg> partials(MorselCount(n));
+  ParallelMorsels(ctx, n, [&](size_t m, size_t begin, size_t end) {
     if (prefiltered == nullptr) FilterMorsel(cover, terms, begin, end, &local);
     MorselAgg& partial = partials[m];
     if (!grouped) {
@@ -244,27 +187,12 @@ void ParallelAggregateCover(const ParallelContext& ctx, const Fragment& cover,
       return;
     }
     bm->ForEachSetInRange(begin, end, [&](size_t rid) {
-      GroupKey key;
-      key.values.reserve(q.group_by.size());
-      for (const ColumnRef& ref : q.group_by) {
-        key.values.push_back(
-            cover.table->GetValue(rid, cover.FragColumn(ref.column)));
-      }
-      auto& states =
-          partial.groups
-              .try_emplace(std::move(key),
-                           std::vector<AggState>(q.aggregates.size()))
-              .first->second;
-      for (size_t i = 0; i < q.aggregates.size(); ++i) {
-        const AggregateExpr& agg = q.aggregates[i];
-        if (agg.fn == AggFn::kCount) {
-          states[i].AddCount(1.0);
-        } else {
-          states[i].Add(
-              cover.table->GetValue(rid, cover.FragColumn(agg.column.column))
-                  .AsNumeric());
-        }
-      }
+      FoldRow(
+          q, grouped,
+          [&](ColumnId col) {
+            return cover.table->GetValue(rid, cover.FragColumn(col));
+          },
+          &partial.totals, &partial.groups);
     });
   });
   for (MorselAgg& partial : partials) {
@@ -314,6 +242,8 @@ const Fragment* CoveringFragment(const RowGroup& group,
   return nullptr;
 }
 
+namespace {
+
 PrimaryKey PkOfFragmentRow(const Fragment& frag, RowId rid) {
   const Schema& fs = frag.table->schema();
   PrimaryKey pk;
@@ -324,8 +254,10 @@ PrimaryKey PkOfFragmentRow(const Fragment& frag, RowId rid) {
   return pk;
 }
 
+}  // namespace
+
 Result<std::vector<PrimaryKey>> MatchingPksInGroup(
-    const RowGroup& group, const std::vector<const PredicateTerm*>& terms) {
+    const RowGroup& group, std::span<const PredicateTerm> terms) {
   std::vector<PrimaryKey> out;
   if (terms.empty()) {
     const Fragment& lead = group.fragments.front();
@@ -335,7 +267,7 @@ Result<std::vector<PrimaryKey>> MatchingPksInGroup(
   }
   std::vector<ColumnId> cols;
   cols.reserve(terms.size());
-  for (const PredicateTerm* term : terms) cols.push_back(term->column.column);
+  for (const PredicateTerm& term : terms) cols.push_back(term.column.column);
   if (const Fragment* cover = CoveringFragment(group, cols)) {
     Bitmap bm = EvaluateOnFragment(*cover, terms);
     bm.ForEachSet(
@@ -344,16 +276,16 @@ Result<std::vector<PrimaryKey>> MatchingPksInGroup(
   }
   // Spanning path: assign every term to the first fragment holding its
   // column, evaluate per fragment, intersect the key sets.
-  std::vector<const PredicateTerm*> remaining = terms;
+  Predicate remaining(terms.begin(), terms.end());
   std::vector<std::unordered_set<PrimaryKey, PrimaryKeyHash>> sets;
   for (const Fragment& frag : group.fragments) {
-    std::vector<const PredicateTerm*> mine;
-    std::vector<const PredicateTerm*> rest;
-    for (const PredicateTerm* term : remaining) {
-      if (frag.Contains(term->column.column)) {
-        mine.push_back(term);
+    Predicate mine;
+    Predicate rest;
+    for (PredicateTerm& term : remaining) {
+      if (frag.Contains(term.column.column)) {
+        mine.push_back(std::move(term));
       } else {
-        rest.push_back(term);
+        rest.push_back(std::move(term));
       }
     }
     remaining = std::move(rest);
@@ -388,28 +320,6 @@ std::vector<ColumnId> UniqueColumns(std::vector<ColumnId> cols) {
   std::sort(cols.begin(), cols.end());
   cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
   return cols;
-}
-
-std::vector<ColumnId> NeededColumns(
-    const SelectQuery& q, const std::vector<const PredicateTerm*>& terms) {
-  std::vector<ColumnId> needed = q.select_columns;
-  for (const PredicateTerm* term : terms) {
-    needed.push_back(term->column.column);
-  }
-  return UniqueColumns(std::move(needed));
-}
-
-std::vector<ColumnId> NeededColumns(
-    const AggregationQuery& q, const std::vector<const PredicateTerm*>& terms) {
-  std::vector<ColumnId> needed;
-  for (const AggregateExpr& agg : q.aggregates) {
-    if (agg.fn != AggFn::kCount) needed.push_back(agg.column.column);
-  }
-  for (const ColumnRef& ref : q.group_by) needed.push_back(ref.column);
-  for (const PredicateTerm* term : terms) {
-    needed.push_back(term->column.column);
-  }
-  return UniqueColumns(std::move(needed));
 }
 
 }  // namespace readpath

@@ -1,8 +1,9 @@
 // Shared read-scan machinery: the morsel planner, predicate evaluation and
 // result materialization used by both the per-statement Executor and the
 // shared-scan BatchExecutor. Everything here is free-standing and
-// stateless — callers pass the fragment, the predicate terms and (for the
-// parallel paths) the ParallelContext.
+// stateless — callers pass the fragment, the plan's merged predicate terms
+// and (for the parallel paths) the ParallelContext. Which of these paths a
+// row group takes is the plan's decision (executor/plan.h), not theirs.
 //
 // The materialization entry points take an optional `prefiltered` bitmap:
 // the batch executor computes one selection bitmap per query in a shared
@@ -15,11 +16,14 @@
 #ifndef HSDB_EXECUTOR_READ_PATH_H_
 #define HSDB_EXECUTOR_READ_PATH_H_
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/bitmap.h"
+#include "common/thread_pool.h"
 #include "executor/aggregate.h"
-#include "executor/executor.h"
+#include "executor/plan.h"
 #include "executor/query.h"
 #include "executor/result.h"
 #include "storage/logical_table.h"
@@ -40,43 +44,38 @@ inline size_t MorselCount(size_t n) {
   return (n + kMorselRows - 1) / kMorselRows;
 }
 
-/// The query's predicate terms that reference `table_index`.
-std::vector<const PredicateTerm*> TermsForTable(const Predicate& predicate,
-                                                int table_index);
-
-Status ValidateTerms(const Schema& schema,
-                     const std::vector<const PredicateTerm*>& terms);
+/// Whether a row-store sorted index on some term's column of `frag` seeds
+/// EvaluateOnFragment's bitmap.
+bool HasIndexSeed(const Fragment& frag, std::span<const PredicateTerm> terms);
 
 /// Evaluates a conjunction of terms on one fragment. All term columns must
 /// be contained in the fragment. Uses a row-store sorted index to seed the
 /// bitmap when one is available for a term's column.
 Bitmap EvaluateOnFragment(const Fragment& frag,
-                          const std::vector<const PredicateTerm*>& terms);
-
-/// Whether the morsel-parallel scan path applies to this fragment: a pool
-/// is installed, the fragment spans more than one morsel, and no row-store
-/// sorted index would seed the bitmap (the index path is already
-/// sub-linear; morselizing it would only add overhead).
-bool UseParallelScan(const ParallelContext& ctx, const Fragment& frag,
-                     const std::vector<const PredicateTerm*>& terms);
-
-/// Whether some row group of `table` scans its covering fragment of
-/// `needed` morsel-parallel — UseParallelScan applied to exactly the
-/// fragments the executors scan, so `explain` reports the path that runs.
-bool ScansInParallel(const ParallelContext& ctx, const LogicalTable& table,
-                     const std::vector<ColumnId>& needed,
-                     const std::vector<const PredicateTerm*>& terms);
+                          std::span<const PredicateTerm> terms);
 
 /// Telemetry for one parallel dispatch: total morsels produced and the
 /// worker-queue depth at dispatch time (pending tasks already queued plus
 /// this scan's morsels).
 void NoteMorsels(const ParallelContext& ctx, size_t morsels);
 
+/// Dispatches the morsels of an `n`-slot fragment on the pool and records
+/// them (NoteMorsels): `fn(m, begin, end)` runs once per morsel m, over
+/// slots [begin, end).
+template <typename Fn>
+void ParallelMorsels(const ParallelContext& ctx, size_t n, const Fn& fn) {
+  const size_t morsels = MorselCount(n);
+  NoteMorsels(ctx, morsels);
+  ctx.pool->ParallelFor(morsels, [&](size_t m) {
+    const size_t begin = m * kMorselRows;
+    fn(m, begin, std::min(begin + kMorselRows, n));
+  });
+}
+
 /// Narrows morsel [begin, end) of the shared bitmap by every term. Each
 /// morsel touches only its own bitmap words (begin is 64-aligned), so
 /// concurrent calls for disjoint morsels are safe.
-void FilterMorsel(const Fragment& frag,
-                  const std::vector<const PredicateTerm*>& terms,
+void FilterMorsel(const Fragment& frag, std::span<const PredicateTerm> terms,
                   size_t begin, size_t end, Bitmap* bm);
 
 /// Materializes select rows from an already-evaluated selection bitmap in
@@ -92,10 +91,38 @@ void SelectFromBitmap(const Fragment& cover, const Bitmap& bm,
 /// filter step is skipped and rows come from that bitmap instead (the batch
 /// executor's shared predicate pass already narrowed it).
 void ParallelSelectCover(const ParallelContext& ctx, const Fragment& cover,
-                         const std::vector<const PredicateTerm*>& terms,
+                         std::span<const PredicateTerm> terms,
                          const std::vector<ColumnId>& select_columns,
                          size_t limit, const Bitmap* prefiltered,
                          QueryResult* result);
+
+/// Folds one selected row into the aggregation state: `totals` when
+/// ungrouped, else the row's group in `group_map`. `get(column)` reads one
+/// logical column of the row.
+template <typename Get>
+void FoldRow(const AggregationQuery& q, bool grouped, const Get& get,
+             std::vector<AggState>* totals, GroupMap* group_map) {
+  std::vector<AggState>* states = totals;
+  if (grouped) {
+    GroupKey key;
+    key.values.reserve(q.group_by.size());
+    for (const ColumnRef& ref : q.group_by) {
+      key.values.push_back(get(ref.column));
+    }
+    states = &group_map
+                  ->try_emplace(std::move(key),
+                                std::vector<AggState>(q.aggregates.size()))
+                  .first->second;
+  }
+  for (size_t i = 0; i < q.aggregates.size(); ++i) {
+    const AggregateExpr& agg = q.aggregates[i];
+    if (agg.fn == AggFn::kCount) {
+      (*states)[i].AddCount(1.0);
+    } else {
+      (*states)[i].Add(get(agg.column.column).AsNumeric());
+    }
+  }
+}
 
 /// Sequential aggregation fold over an already-evaluated selection bitmap
 /// (the serial single-table aggregation tail).
@@ -111,7 +138,7 @@ void AggregateFromBitmap(const Fragment& cover, const Bitmap& bm,
 /// values are not exactly representable). `prefiltered` as in
 /// ParallelSelectCover.
 void ParallelAggregateCover(const ParallelContext& ctx, const Fragment& cover,
-                            const std::vector<const PredicateTerm*>& terms,
+                            std::span<const PredicateTerm> terms,
                             const AggregationQuery& q, bool grouped,
                             const Bitmap* prefiltered,
                             std::vector<AggState>* totals,
@@ -127,26 +154,15 @@ QueryResult FinalizeAggregation(const AggregationQuery& q, bool grouped,
 const Fragment* CoveringFragment(const RowGroup& group,
                                  const std::vector<ColumnId>& columns);
 
-PrimaryKey PkOfFragmentRow(const Fragment& frag, RowId rid);
-
 /// Primary keys of the group's rows matching the predicate. Handles the
 /// vertical-split case where no single fragment covers all predicate
 /// columns by intersecting per-fragment key sets (the cost of queries that
 /// span vertical partitions).
 Result<std::vector<PrimaryKey>> MatchingPksInGroup(
-    const RowGroup& group, const std::vector<const PredicateTerm*>& terms);
+    const RowGroup& group, std::span<const PredicateTerm> terms);
 
 /// Sorted, deduplicated column list.
 std::vector<ColumnId> UniqueColumns(std::vector<ColumnId> cols);
-
-/// Columns a single-table scan must find in one fragment to take the cover
-/// path, sorted and deduplicated: a select's projection plus its predicate
-/// columns; an aggregation's inputs (count reads none), group keys and
-/// predicate columns. `terms` are the query's terms on table 0.
-std::vector<ColumnId> NeededColumns(
-    const SelectQuery& q, const std::vector<const PredicateTerm*>& terms);
-std::vector<ColumnId> NeededColumns(
-    const AggregationQuery& q, const std::vector<const PredicateTerm*>& terms);
 
 }  // namespace readpath
 }  // namespace hsdb

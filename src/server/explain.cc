@@ -4,8 +4,7 @@
 #include <sstream>
 
 #include "catalog/catalog.h"
-#include "executor/batch_executor.h"
-#include "executor/read_path.h"
+#include "executor/plan.h"
 #include "server/protocol.h"
 #include "storage/compression/encoding.h"
 
@@ -13,8 +12,6 @@ namespace hsdb {
 namespace server {
 
 namespace {
-
-namespace rp = readpath;
 
 std::string FormatMs(double v) {
   char buf[40];
@@ -59,47 +56,70 @@ void AppendTableLines(const Catalog& catalog, const std::string& name,
   }
 }
 
-/// One-line characterization of the execution path — the analogue of a
-/// plan node list for this engine's fixed pipeline. A scan reads
-/// "morsel-parallel" exactly when the executors parallelize it:
-/// rp::ScansInParallel applies their UseParallelScan decision to the same
-/// covering fragments.
-std::string PathLine(Database* db, const Catalog& catalog,
-                     const Query& query) {
-  // Scan mode of a single-table select or aggregation on `table` (nullptr
-  // for a star join, which always scans serially).
-  auto scan_mode = [db](const LogicalTable* table, const auto& q) {
-    ParallelContext parallel;
-    parallel.pool = db->scan_pool();
-    const auto terms = rp::TermsForTable(q.predicate, 0);
-    if (table == nullptr ||
-        !rp::ScansInParallel(parallel, *table, rp::NeededColumns(q, terms),
-                             terms)) {
-      return std::string(", serial");
-    }
-    return ", morsel-parallel over " + std::to_string(db->num_threads()) +
-           " threads";
-  };
-  const QueryKind kind = KindOf(query);
-  if (kind == QueryKind::kSelect) {
-    const auto& q = std::get<SelectQuery>(query);
-    const LogicalTable* table = catalog.GetTable(q.table);
-    if (table != nullptr && table->schema().primary_key().size() == 1 &&
-        IsPointPredicateOn(q.predicate, table->schema().primary_key()[0])) {
-      return "path: point-PK lookup (sub-linear fast path)";
-    }
-    return "path: filtered scan" + scan_mode(table, q);
+std::string GroupPathName(GroupPath path, int threads) {
+  switch (path) {
+    case GroupPath::kSerialScan:
+      return "serial";
+    case GroupPath::kParallelScan:
+      return "morsel-parallel over " + std::to_string(threads) + " threads";
+    case GroupPath::kIndexSeeded:
+      return "index-seeded";
+    case GroupPath::kStitch:
+      return "vertical-split stitch";
   }
-  if (kind == QueryKind::kAggregation) {
+  return "unknown";
+}
+
+/// One-line characterization of the plan's access path — the analogue of
+/// a plan node list for this engine's fixed pipeline. Scans and star joins
+/// end in the distinct paths of their row groups.
+std::string PathLine(const Plan& plan, const Query& query, int threads) {
+  switch (plan.path) {
+    case AccessPath::kPkPoint:
+      return plan.kind == QueryKind::kSelect
+                 ? "path: point-PK lookup (sub-linear fast path)"
+                 : "path: point-PK write (writer latch + exclusive lock)";
+    case AccessPath::kInsert:
+      return "path: insert (writer latch + exclusive lock)";
+    case AccessPath::kDmlLocate:
+      return "path: locate by scan, write by key (writer latch + exclusive "
+             "lock)";
+    case AccessPath::kScan:
+    case AccessPath::kStarJoin:
+      break;
+  }
+  std::string line;
+  if (plan.kind == QueryKind::kSelect) {
+    line = "path: filtered scan";
+  } else {
     const auto& q = std::get<AggregationQuery>(query);
-    std::string path = q.group_by.empty() ? "path: scan + aggregate"
-                                          : "path: scan + grouped aggregate";
-    if (!q.joins.empty()) path += " (joined)";
-    return path + scan_mode(q.tables.size() == 1 ? catalog.GetTable(q.tables[0])
-                                                 : nullptr,
-                            q);
+    line = q.group_by.empty() ? "path: scan + aggregate"
+                              : "path: scan + grouped aggregate";
+    if (plan.path == AccessPath::kStarJoin) line += " (joined)";
   }
-  return "path: per-statement DML (writer latch + exclusive lock)";
+  std::string modes;
+  for (const GroupPlan& g : plan.groups) {
+    const std::string mode = GroupPathName(g.path, threads);
+    if (modes.find(mode) != std::string::npos) continue;
+    modes += (modes.empty() ? ", " : " + ") + mode;
+  }
+  return line + modes;
+}
+
+/// The merged predicate terms, one `table.column range` entry each.
+std::string TermsLine(const Catalog& catalog, const Plan& plan,
+                      const Query& query) {
+  if (plan.terms.empty()) return "terms: none";
+  const std::vector<std::string> tables = TablesOf(query);
+  std::string line = "terms:";
+  for (const PredicateTerm& term : plan.terms) {
+    const LogicalTable* table =
+        catalog.GetTable(tables[term.column.table_index]);
+    line += " " + tables[term.column.table_index] + "." +
+            table->schema().column(term.column.column).name + " in " +
+            term.range.ToString();
+  }
+  return line;
 }
 
 void AppendPredictionLines(Database* db, const Query& query,
@@ -125,11 +145,17 @@ std::vector<std::string> ExplainLines(Database* db, const Query& query) {
   // discipline as the adaptation controller's planning reads.
   CatalogReadLock lock(db->catalog(), tables);
   AppendPredictionLines(db, query, &out);
-  out.push_back(PathLine(db, db->catalog(), query));
-  const std::string* shareable = BatchExecutor::ShareableTable(query);
-  out.push_back(shareable != nullptr
+  Result<Plan> plan = PlanQuery(db->catalog(), query);
+  if (plan.ok()) {
+    ResolvePaths(db->parallel(), &*plan);
+    out.push_back(PathLine(*plan, query, db->num_threads()));
+    out.push_back(TermsLine(db->catalog(), *plan, query));
+  } else {
+    out.push_back("path: none (" + plan.status().ToString() + ")");
+  }
+  out.push_back(plan.ok() && plan->shareable
                     ? "batch_shareable: yes (shared-scan group on " +
-                          *shareable + ")"
+                          tables.front() + ")"
                     : "batch_shareable: no (per-statement path)");
   for (const std::string& name : tables) {
     AppendTableLines(db->catalog(), name, &out);
@@ -145,12 +171,11 @@ Result<std::vector<std::string>> ExplainAnalyzeLines(Database* db,
 
   // Morsel delta around the execution. Approximate under concurrent
   // traffic (the counter is process-wide); exact when the server is quiet.
-  telemetry::Counter& morsels = db->metrics().GetCounter(
-      "hsdb_scan_morsels_total",
-      "Morsels dispatched by the parallel scan path.");
-  const uint64_t morsels_before = morsels.value();
+  // A serial database has no counter and dispatches no morsels.
+  const telemetry::Counter* morsels = db->parallel().morsels_total;
+  const uint64_t morsels_before = morsels != nullptr ? morsels->value() : 0;
   HSDB_ASSIGN_OR_RETURN(QueryResult result, db->Execute(query));
-  const uint64_t morsels_after = morsels.value();
+  const uint64_t morsels_after = morsels != nullptr ? morsels->value() : 0;
 
   switch (KindOf(query)) {
     case QueryKind::kSelect:

@@ -59,6 +59,26 @@ struct ValueRange {
            *lo == *hi;
   }
 
+  /// Narrows this range to its intersection with `o`, whose bounds must be
+  /// comparable with this range's. The tighter bound wins; on equal bound
+  /// values the exclusive one does. The result may be empty (lo above hi).
+  void IntersectWith(const ValueRange& o) {
+    if (o.lo.has_value()) {
+      const int c = lo.has_value() ? o.lo->Compare(*lo) : 1;
+      if (c > 0 || (c == 0 && !o.lo_inclusive)) {
+        lo = o.lo;
+        lo_inclusive = o.lo_inclusive;
+      }
+    }
+    if (o.hi.has_value()) {
+      const int c = hi.has_value() ? o.hi->Compare(*hi) : -1;
+      if (c < 0 || (c == 0 && !o.hi_inclusive)) {
+        hi = o.hi;
+        hi_inclusive = o.hi_inclusive;
+      }
+    }
+  }
+
   bool Contains(const Value& v) const {
     if (lo.has_value()) {
       int c = v.Compare(*lo);

@@ -1,6 +1,9 @@
 #include "workload/recorder.h"
 
 #include <algorithm>
+#include <optional>
+
+#include "executor/plan.h"
 
 namespace hsdb {
 
@@ -9,15 +12,11 @@ namespace {
 /// Histogram buckets for update-key tracking.
 constexpr size_t kUpdateHistogramBuckets = 128;
 
-bool PointKeyOf(const Predicate& predicate, const Schema& schema,
-                int64_t* key) {
-  if (schema.primary_key().size() != 1) return false;
-  ColumnId pk = schema.primary_key()[0];
-  if (!IsPointPredicateOn(predicate, pk)) return false;
-  const Value& v = *predicate[0].range.lo;
-  if (!IsNumeric(v.type())) return false;
-  *key = static_cast<int64_t>(v.AsNumeric());
-  return true;
+/// The key a query looks up point-wise (its plan's point path), if any.
+std::optional<Value> PointKeyOf(const Query& query, const Catalog& catalog) {
+  Result<Plan> plan = PlanQuery(catalog, query);
+  if (!plan.ok() || plan->path != AccessPath::kPkPoint) return std::nullopt;
+  return plan->point_key();
 }
 
 }  // namespace
@@ -81,10 +80,11 @@ void WorkloadStatistics::Record(const Query& query, const Catalog& catalog) {
             if (non_key > 0 && q.set_columns.size() * 2 >= non_key) {
               ++t.wide_updates;
             }
-            int64_t key;
-            if (PointKeyOf(q.predicate, table->schema(), &key)) {
-              t.update_key_histogram.Add(key);
-              t.hot_update_keys.Add(key);
+            std::optional<Value> key = PointKeyOf(query, catalog);
+            if (key.has_value() && IsNumeric(key->type())) {
+              const auto k = static_cast<int64_t>(key->AsNumeric());
+              t.update_key_histogram.Add(k);
+              t.hot_update_keys.Add(k);
             }
           }
           for (ColumnId c : q.set_columns) {
@@ -107,14 +107,7 @@ void WorkloadStatistics::Record(const Query& query, const Catalog& catalog) {
         } else if constexpr (std::is_same_v<T, SelectQuery>) {
           TableWorkloadStats& t = TableEntry(q.table, catalog);
           ++t.queries;
-          const LogicalTable* table = catalog.GetTable(q.table);
-          bool is_point = false;
-          if (table != nullptr &&
-              table->schema().primary_key().size() == 1) {
-            is_point = IsPointPredicateOn(
-                q.predicate, table->schema().primary_key()[0]);
-          }
-          if (is_point) {
+          if (PointKeyOf(query, catalog).has_value()) {
             ++t.point_selects;
           } else {
             ++t.range_selects;

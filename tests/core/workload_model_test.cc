@@ -5,6 +5,7 @@
 #include "core/advisor.h"
 #include "core/table_advisor.h"
 #include "executor/database.h"
+#include "executor/plan.h"
 #include "workload/generator.h"
 #include "workload/runner.h"
 
@@ -84,7 +85,10 @@ TEST_F(WorkloadModelTest, ReconstructedUpdatesCarryObservedWidth) {
   ASSERT_EQ(model.size(), 1u);
   const auto& rebuilt = std::get<UpdateQuery>(model[0].query);
   EXPECT_EQ(rebuilt.set_columns.size(), 3u);  // observed average width
-  EXPECT_TRUE(IsPointPredicateOn(rebuilt.predicate, 0));
+  // The rebuilt update plans as a primary-key point write.
+  Result<Plan> plan = PlanQuery(db_.catalog(), model[0].query);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->path, AccessPath::kPkPoint);
 }
 
 TEST_F(WorkloadModelTest, StatisticsOnlyAdvisorAgreesWithFullLog) {

@@ -172,7 +172,7 @@ TEST_F(ExplainWireTest, ExplainPredictionLineWhenPredictorInstalled) {
   EXPECT_FALSE(LineWith(reply->lines, "predicted_cost").empty());
 }
 
-/// At 4 threads the path line follows the executors' UseParallelScan
+/// At 4 threads the path line follows the plan's per-group scan
 /// decision, not the thread count: a table that fits in one morsel scans
 /// serially, one row more goes morsel-parallel — and explain analyze's
 /// morsel count agrees with the line.
